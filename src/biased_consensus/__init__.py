@@ -15,7 +15,6 @@ from .base import (
     BaseFlavor,
     BaseInstance,
     flavor_for,
-    oracle_decide,
     run_eig,
     run_floodset,
     run_phase_king,

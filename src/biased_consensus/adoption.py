@@ -8,40 +8,43 @@ model has the weakest rule that still makes a fast decision elsewhere safe:
   benign              at least one vote for the preferred value
   classical Byzantine at least f + 1 votes for it
   external validity   it appears at all and passes the validity predicate
+
+The straw-man configuration deliberately runs the benign presence rule under
+the classical model (see rule_model); the lower-bound scenarios show why that
+is unsound.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .core import (
     FailureModel,
     FullValue,
     NodeId,
+    OptimizerConfig,
     PreconditionViolation,
     ValidityPredicate,
 )
 
 
 class VoteSet:
-    """First accepted vote per sender, remembering delivery order.
+    """First accepted vote per sender, with a running count per value.
 
     Later votes from a sender already present are rejected by add(); callers
     treat that as "ignore the duplicate".
     """
 
-    __slots__ = ("entries", "order", "_counts")
+    __slots__ = ("entries", "_counts")
 
     def __init__(self) -> None:
         self.entries: dict[NodeId, bytes] = {}
-        self.order: list[NodeId] = []
         self._counts: dict[bytes, int] = {}
 
     def add(self, sender: NodeId, val: bytes) -> bool:
         if sender in self.entries:
             return False
         self.entries[sender] = val
-        self.order.append(sender)
         self._counts[val] = self._counts.get(val, 0) + 1
         return True
 
@@ -50,9 +53,6 @@ class VoteSet:
 
     def all_equal(self, val: bytes) -> bool:
         return self._counts.get(val, 0) == len(self.entries)
-
-    def values(self) -> Iterable[bytes]:
-        return self.entries.values()
 
     def __contains__(self, sender: NodeId) -> bool:
         return sender in self.entries
@@ -63,9 +63,31 @@ class VoteSet:
     def copy(self) -> "VoteSet":
         dup = VoteSet.__new__(VoteSet)
         dup.entries = dict(self.entries)
-        dup.order = list(self.order)
         dup._counts = dict(self._counts)
         return dup
+
+
+def rule_model(cfg: OptimizerConfig) -> FailureModel:
+    """The failure model whose vote rule a proof-oblivious node applies.
+
+    The straw-man configuration swaps in the benign presence rule (a single
+    preferred vote suffices); every other configuration uses its own model.
+    """
+    return FailureModel.BENIGN if cfg.straw_man else cfg.model
+
+
+def _rule(
+    model: FailureModel, f: int, valid: ValidityPredicate | None
+) -> tuple[int, ValidityPredicate | None]:
+    """The one model dispatch: how many carriers of the preferred payload the
+    rule needs, and the predicate a carrier must pass (None: any carrier)."""
+    if model is FailureModel.BENIGN:
+        return 1, None
+    if model is FailureModel.BYZANTINE_CLASSICAL:
+        return f + 1, None
+    if valid is None:
+        raise PreconditionViolation("external model needs a validity predicate")
+    return 1, valid
 
 
 def adoption_criteria(
@@ -85,14 +107,10 @@ def adoption_criteria(
         raise PreconditionViolation(
             f"adoption rule needs {n - f} votes, have {len(votes)}"
         )
-    count = votes.count_of(preferred.val)
-    if model is FailureModel.BENIGN:
-        return count >= 1
-    if model is FailureModel.BYZANTINE_CLASSICAL:
-        return count >= f + 1
-    if valid is None:
-        raise PreconditionViolation("external model needs a validity predicate")
-    return count >= 1 and valid(preferred)
+    need, check = _rule(model, f, valid)
+    return votes.count_of(preferred.val) >= need and (
+        check is None or check(preferred)
+    )
 
 
 def adoption_criteria_full(
@@ -113,14 +131,10 @@ def adoption_criteria_full(
         raise PreconditionViolation(
             f"adoption rule needs {n - f} full values, have {len(fullvals)}"
         )
-    carriers = [fv for fv in fullvals.values() if fv.val == preferred.val]
-    if model is FailureModel.BENIGN:
-        return carriers[0] if carriers else None
-    if model is FailureModel.BYZANTINE_CLASSICAL:
-        return carriers[0] if len(carriers) >= f + 1 else None
-    if valid is None:
-        raise PreconditionViolation("external model needs a validity predicate")
-    for fv in carriers:
-        if valid(fv):
-            return fv
-    return None
+    need, check = _rule(model, f, valid)
+    carriers = [
+        fv
+        for fv in fullvals.values()
+        if fv.val == preferred.val and (check is None or check(fv))
+    ]
+    return carriers[0] if len(carriers) >= need else None

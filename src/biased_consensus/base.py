@@ -51,10 +51,6 @@ class BaseInstance:
         self.proposals: dict[NodeId, FullValue] = {}
         self.decided: bytes | None = None
 
-    @property
-    def active(self) -> bool:
-        return bool(self.proposals)
-
     def propose(self, node: NodeId, value: FullValue) -> None:
         if node in self.proposals:
             raise DuplicatePropose(f"node {node} proposed twice to the base instance")
@@ -108,19 +104,6 @@ class BaseInstance:
             raise PreconditionViolation(f"decision {value!r} outside the legal set")
         self.decided = value
         return value
-
-
-def oracle_decide(
-    instance: BaseInstance,
-    flavor: BaseFlavor,
-    correct_live: Iterable[NodeId],
-    adversary_choice: Callable[[list[bytes]], bytes],
-    crashed: Iterable[NodeId] = (),
-    valid: ValidityPredicate | None = None,
-) -> bytes:
-    """Let the adversary settle the instance on any legal value."""
-    legal = instance.legal_decisions(flavor, correct_live, crashed, valid)
-    return instance.decide(adversary_choice(legal), legal)
 
 
 # --- concrete synchronous-round protocols -----------------------------------

@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .core import MsgKind, Variant
-from .optimizer import OptimizerNode, Phase
+from .optimizer import Phase
 from .proof_aware import ProofAwareNode
 from .simnet import Exhaustive, Runner, Scenario
 
@@ -58,12 +58,9 @@ def explore(
     multiset of distinct outcomes, and the shortest violating choice script.
     """
     sched = scenario.schedule
-    if isinstance(sched, Exhaustive):
-        leaves_cap = max_leaves if max_leaves is not None else sched.max_leaves
-        events_cap = max_events if max_events is not None else sched.max_events
-    else:
-        leaves_cap = max_leaves if max_leaves is not None else 200_000
-        events_cap = max_events if max_events is not None else 5_000_000
+    limits = sched if isinstance(sched, Exhaustive) else Exhaustive()
+    leaves_cap = max_leaves if max_leaves is not None else limits.max_leaves
+    events_cap = max_events if max_events is not None else limits.max_events
     report = ExplorationReport()
     root = Runner(scenario, record_trace=False)
     root.start_batch()
@@ -205,14 +202,11 @@ def _independent(a: tuple, b: tuple, rn: Runner) -> bool:
 def _deliver_noop(c: tuple, rn: Runner) -> bool:
     """True when delivering c provably changes nothing observable, now or
     ever (the conditions below are stable: phases never regress and the
-    vote/value books only grow)."""
+    vote/value books only grow).  Envelopes only ever go to nodes that run
+    a machine, so rn.machines[dst] is never None here."""
     _, src, dst, kind, _ = c
     m = rn.machines[dst]
-    if m is None:
-        return True
     if kind == _PROPOSAL:
-        if not isinstance(m, (OptimizerNode, ProofAwareNode)):
-            return True
         return m.phase is not Phase.COLLECTING or src in m.votes
     if kind == _FULL:
         if not isinstance(m, ProofAwareNode):
@@ -248,8 +242,6 @@ def _singleton_ample(c: tuple, rn: Runner) -> bool:
     if src in rn.crashed:
         return False   # the choice has a drop twin: a real branch
     m = rn.machines[dst]
-    if not isinstance(m, (OptimizerNode, ProofAwareNode)):
-        return False
     if m.phase is not Phase.COLLECTING or rn.cfg.sync_timeout is not None:
         return False
     if src in m.votes:
@@ -296,10 +288,7 @@ def _ample_cluster(enabled: list[tuple], rn: Runner) -> list[tuple] | None:
         elif t in ("deliver", "drop"):
             by_dst.setdefault(c[2], []).append(c)
     for dst, members in by_dst.items():
-        m = rn.machines[dst]
-        if not isinstance(m, (OptimizerNode, ProofAwareNode)):
-            continue
-        if m.phase is not Phase.COLLECTING:
+        if rn.machines[dst].phase is not Phase.COLLECTING:
             continue
         if any(c[3] != _PROPOSAL for c in members):
             continue
@@ -322,14 +311,10 @@ def _delivers_commute(a: tuple, b: tuple, rn: Runner) -> bool:
     if akind != bkind:
         return False   # proposal/full/base interplay on one machine: keep order
     m = rn.machines[adst]
-    if m is None:
-        return True
     if akind == _PROPOSAL:
-        if isinstance(m, (OptimizerNode, ProofAwareNode)):
-            if rn.cfg.sync_timeout is not None:
-                return True   # votes buffer until the timer; no trigger
-            return len(m.votes) + 1 != rn.cfg.threshold
-        return True
+        if rn.cfg.sync_timeout is not None:
+            return True   # votes buffer until the timer; no trigger
+        return len(m.votes) + 1 != rn.cfg.threshold
     if akind == _FULL:
         if m.phase is Phase.FULL_EXCHANGE and not m.full_evaluated:
             return len(m.fullvals) + 1 != rn.cfg.threshold

@@ -47,6 +47,7 @@ from .simnet import (
     Silent,
     Strategy,
     Trace,
+    correct_live,
     run,
     validate_scenario,
 )
@@ -312,12 +313,7 @@ def _rounds_for(path: DecisionPath, variant: Variant) -> int:
 
 def summarize(sc: Scenario, trace: Trace) -> dict:
     """MetricsSummary document: decisions, paths, rounds, traffic, violations."""
-    correct_live = [
-        i
-        for i in range(sc.cfg.n)
-        if not isinstance(sc.faults[i], Byzantine)
-        and trace.final_phases.get(i) != "crashed"
-    ]
+    live = correct_live(sc.faults, trace.crashed)
     decisions = {}
     for node, rec in sorted(trace.decisions.items()):
         decisions[str(node)] = {
@@ -325,9 +321,9 @@ def summarize(sc: Scenario, trace: Trace) -> dict:
             "rounds": _rounds_for(rec.path, sc.cfg.variant),
             "value": _bytes_to_obj(rec.value),
         }
-    fast_path = bool(correct_live) and all(
+    fast_path = bool(live) and all(
         i in trace.decisions and trace.decisions[i].path is DecisionPath.FAST
-        for i in correct_live
+        for i in live
     )
     return {
         "decisions": decisions,

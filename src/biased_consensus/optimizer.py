@@ -20,7 +20,7 @@ import enum
 from dataclasses import dataclass
 from typing import Union
 
-from .adoption import VoteSet, adoption_criteria
+from .adoption import VoteSet, adoption_criteria, rule_model
 from .core import (
     AlreadyStarted,
     ConsistencyViolation,
@@ -78,7 +78,11 @@ Action = Union[Broadcast, SendTo, ProposeToBase, Decide]
 
 
 class OptimizerNode:
-    """State machine for one correct node running the proof-oblivious variant."""
+    """State machine for one correct node running the proof-oblivious variant.
+
+    The proof-aware variant (proof_aware.ProofAwareNode) subclasses it and
+    replaces only what follows a mixed first round.
+    """
 
     def __init__(
         self,
@@ -106,6 +110,7 @@ class OptimizerNode:
             raise AlreadyStarted(f"node {self.node_id} started twice")
         self.started = True
         self.votes.add(self.node_id, self.my_value.val)
+        # Payload only: no proof crosses the wire in the first round.
         return [Broadcast(MsgKind.PROPOSAL, self.my_value.val)]
 
     def on_proposal(self, sender: NodeId, val: bytes) -> list[Action]:
@@ -123,7 +128,9 @@ class OptimizerNode:
             and self.cfg.sync_timeout is None
             and len(self.votes) == self.cfg.threshold
         ):
-            return self._decision_branch()
+            if self.votes.all_equal(self.cfg.preferred.val):
+                return self._decide_fast()
+            return self._mixed_round()
         return []
 
     def on_base_message_observed(self) -> list[Action]:
@@ -156,24 +163,22 @@ class OptimizerNode:
 
     def on_timeout(self) -> list[Action]:
         """Timeout-variant decision branch: all n votes equal decide fast,
-        f + 1 votes for the preferred value adopt it, else keep one's own."""
+        else the adoption rule runs over every vote received (the variant is
+        classical-only, so f + 1 preferred votes adopt)."""
         if self.cfg.sync_timeout is None:
             raise PreconditionViolation("timeout fired outside the sync variant")
         if self.phase is not Phase.COLLECTING:
             raise PreconditionViolation(
                 f"node {self.node_id}: timeout in phase {self.phase.value}"
             )
-        if len(self.votes) < self.cfg.threshold:
-            raise PreconditionViolation(
-                f"node {self.node_id}: timeout with only {len(self.votes)} votes"
-            )
-        pref = self.cfg.preferred.val
-        if len(self.votes) == self.cfg.n and self.votes.all_equal(pref):
+        pref = self.cfg.preferred
+        if len(self.votes) == self.cfg.n and self.votes.all_equal(pref.val):
             return self._decide_fast()
-        self.phase = Phase.IN_BASE
-        if self.votes.count_of(pref) >= self.cfg.f + 1:
-            return [ProposeToBase(self.cfg.preferred)]
-        return [ProposeToBase(self.my_value)]
+        # The rule itself refuses to run on fewer than n - f votes.
+        adopts = adoption_criteria(
+            self.cfg.model, self.votes, pref, self.cfg.f, self.cfg.n, self.valid
+        )
+        return self._enter_base(pref if adopts else self.my_value)
 
     # -- internals -----------------------------------------------------------
 
@@ -186,30 +191,28 @@ class OptimizerNode:
         self.decision = Decide(self.cfg.preferred.val, DecisionPath.FAST)
         return [self.decision]
 
-    def _decision_branch(self) -> list[Action]:
-        pref = self.cfg.preferred
-        if self.votes.all_equal(pref.val):
-            return self._decide_fast()
+    def _enter_base(self, value: FullValue) -> list[Action]:
         self.phase = Phase.IN_BASE
-        if self._adopts():
-            return [ProposeToBase(pref)]
-        return [ProposeToBase(self.my_value)]
+        return [ProposeToBase(value)]
 
-    def _adopts(self) -> bool:
-        if self.cfg.straw_man:
-            # Deliberately unsound presence rule used by the lower-bound runs.
-            return self.votes.count_of(self.cfg.preferred.val) >= 1
-        return adoption_criteria(
-            self.cfg.model,
+    def _mixed_round(self) -> list[Action]:
+        """n - f votes, not all preferred: enter the base instance with the
+        preferred value if the adoption rule holds, else with one's own."""
+        adopts = adoption_criteria(
+            rule_model(self.cfg),
             self.votes,
             self.cfg.preferred,
             self.cfg.f,
             self.cfg.n,
             self.valid,
         )
+        return self._enter_base(self.cfg.preferred if adopts else self.my_value)
 
     def copy(self) -> "OptimizerNode":
-        dup = OptimizerNode.__new__(OptimizerNode)
+        # Explicit assignments: a generic __dict__ copy is markedly slower,
+        # and the explorer copies machines hundreds of thousands of times.
+        cls = type(self)
+        dup = cls.__new__(cls)
         dup.cfg = self.cfg
         dup.node_id = self.node_id
         dup.my_value = self.my_value

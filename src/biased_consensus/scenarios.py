@@ -41,6 +41,7 @@ from .simnet import (
     Seeded,
     Silent,
     Trace,
+    correct_live,
     run,
 )
 
@@ -78,13 +79,7 @@ class NamedScenario:
 
 def check_expected(ns: NamedScenario, trace: Trace) -> tuple[bool, str]:
     """Compare a finished run against the scenario's stated outcome."""
-    sc = ns.scenario
-    correct_live = [
-        i
-        for i in range(sc.cfg.n)
-        if not isinstance(sc.faults[i], Byzantine)
-        and trace.final_phases.get(i) != "crashed"
-    ]
+    live = correct_live(ns.scenario.faults, trace.crashed)
     exp = ns.expected
     if isinstance(exp, ViolationExpected):
         kinds = {k for k, _ in trace.violations}
@@ -93,21 +88,19 @@ def check_expected(ns: NamedScenario, trace: Trace) -> tuple[bool, str]:
         return False, f"expected violation {exp.kind}, saw {sorted(kinds) or 'none'}"
     if trace.violations:
         return False, f"unexpected violations: {trace.violations}"
-    missing = [i for i in correct_live if i not in trace.decisions]
+    missing = [i for i in live if i not in trace.decisions]
     if missing:
         return False, f"nodes {missing} never decided"
-    values = {trace.decisions[i].value for i in correct_live}
-    paths = {trace.decisions[i].path for i in correct_live}
+    values = {trace.decisions[i].value for i in live}
+    paths = {trace.decisions[i].path for i in live}
+    if values != {exp.value}:
+        return False, f"decided {sorted(v.hex() for v in values)}, wanted {exp.value.hex()}"
     if isinstance(exp, AllDecide):
-        if values != {exp.value}:
-            return False, f"decided {sorted(v.hex() for v in values)}, wanted {exp.value.hex()}"
         if exp.path == "fast" and paths != {DecisionPath.FAST}:
             return False, "expected every decision on the fast path"
         if exp.path == "base" and paths != {DecisionPath.BASE}:
             return False, "expected every decision through the base instance"
         return True, f"all decided {exp.value.hex()}"
-    if values != {exp.value}:
-        return False, f"decided {sorted(v.hex() for v in values)}, wanted {exp.value.hex()}"
     if paths != {DecisionPath.FAST, DecisionPath.BASE}:
         return False, f"expected both decision paths, saw {sorted(p.value for p in paths)}"
     return True, f"all decided {exp.value.hex()} on mixed paths"
@@ -445,14 +438,9 @@ def random_campaign(
             report.violation_runs += 1
             for k, _ in trace.violations:
                 report.violation_kinds[k] += 1
-        correct_live = [
-            i
-            for i in range(cfg.n)
-            if not isinstance(faults[i], Byzantine)
-            and trace.final_phases.get(i) != "crashed"
-        ]
-        recs = [trace.decisions[i] for i in correct_live if i in trace.decisions]
-        if recs and len(recs) == len(correct_live):
+        live = correct_live(faults, trace.crashed)
+        recs = [trace.decisions[i] for i in live if i in trace.decisions]
+        if recs and len(recs) == len(live):
             for r in recs:
                 report.decided_values[r.value] += 1
             if all(r.path is DecisionPath.FAST for r in recs):

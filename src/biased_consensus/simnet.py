@@ -23,7 +23,7 @@ import os
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Container, Sequence, Union
 
 from .base import (
     BaseInstance,
@@ -35,6 +35,7 @@ from .base import (
     run_phase_king,
 )
 from .core import (
+    ConfigError,
     ConsistencyViolation,
     FailureModel,
     FullValue,
@@ -64,11 +65,19 @@ DEFAULT_EVENT_BUDGET = 1_000_000
 
 
 def event_budget() -> int:
+    """SIM_EVENT_BUDGET as a positive integer, or the default when unset."""
     raw = os.environ.get("SIM_EVENT_BUDGET", "")
-    try:
-        return int(raw) if raw else DEFAULT_EVENT_BUDGET
-    except ValueError:
+    if not raw:
         return DEFAULT_EVENT_BUDGET
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise ConfigError(
+            f"SIM_EVENT_BUDGET must be a positive integer, got {raw!r}"
+        )
+    return budget
 
 
 # --- faults and strategies --------------------------------------------------
@@ -124,6 +133,16 @@ class Byzantine:
 
 
 Fault = Union[Correct, CrashAt, Byzantine]
+
+
+def correct_live(faults: Sequence[Fault], crashed: Container[NodeId]) -> list[NodeId]:
+    """Correct and live nodes: neither Byzantine nor crashed.  Each runs a
+    machine; only never-started crashers and non-mimicking Byzantines lack one."""
+    return [
+        i
+        for i, fl in enumerate(faults)
+        if not isinstance(fl, Byzantine) and i not in crashed
+    ]
 
 
 def byzantine_emit(
@@ -238,7 +257,6 @@ class Envelope:
     kind: MsgKind
     val: bytes
     proof: bytes
-    send_index: int
     # Cached kind.value: enum attribute access is a descriptor call, and the
     # schedule enumerator reads this once per pending envelope per step.
     kindval: str = field(init=False, repr=False, compare=False, default="")
@@ -284,6 +302,10 @@ class Trace:
         }
         lines.append(json.dumps({"footer": footer}, sort_keys=True))
         return "\n".join(lines) + "\n"
+
+    @property
+    def crashed(self) -> set[NodeId]:
+        return {n for n, p in self.final_phases.items() if p == "crashed"}
 
 
 # --- the runner -------------------------------------------------------------
@@ -393,7 +415,7 @@ class Runner:
     def _emit(
         self, src: NodeId, dst: NodeId, kind: MsgKind, val: bytes, proof: bytes
     ) -> Envelope:
-        env = Envelope(self.seq, src, dst, kind, val, proof, self.event_index)
+        env = Envelope(self.seq, src, dst, kind, val, proof)
         self.seq += 1
         c = self.counters[kind.value]
         c["msgs"] += 1
@@ -444,13 +466,7 @@ class Runner:
 
     def _correct_live(self) -> list[NodeId]:
         if self._live_cache is None:
-            self._live_cache = [
-                i
-                for i in range(self.cfg.n)
-                if i not in self.is_byz
-                and i not in self.crashed
-                and self.machines[i] is not None
-            ]
+            self._live_cache = correct_live(self.sc.faults, self.crashed)
         return self._live_cache
 
     def _base_traffic_source(self) -> tuple[NodeId, bytes] | None:
@@ -510,9 +526,9 @@ class Runner:
             if p not in self.crashed
         }
         pool = sorted(set(proposals.values()))
-        rng = random.Random(
-            self.sc.schedule.seed if isinstance(self.sc.schedule, Seeded) else 0
-        )
+        # Seeded from the choices applied so far, which a scripted replay
+        # applies too, so a recorded run replays under any schedule type.
+        rng = random.Random(repr(self.applied))
         byz_live = sorted(self.is_byz - self.crashed)
         if self.sc.base == "floodset":
             decisions, msgs = run_floodset(self.cfg.n, self.cfg.f, proposals)
@@ -894,42 +910,26 @@ class Runner:
     # -- cloning for the explorer --------------------------------------------
 
     def clone(self) -> "Runner":
+        """An untraced copy for the explorer: immutable state is shared and
+        every container a run mutates is copied."""
         dup = Runner.__new__(Runner)
-        dup.sc = self.sc
-        dup.cfg = self.cfg
-        dup.valid = self.valid
+        dup.__dict__.update(self.__dict__)
         dup.record_trace = False
-        dup.budget = self.budget
+        dup.events = []
         dup.machines = [m.copy() if m is not None else None for m in self.machines]
-        dup.is_byz = self.is_byz
-        dup.machine_nodes = self.machine_nodes
         dup.crashed = set(self.crashed)
-        dup.crash_after = self.crash_after
         dup.pending = list(self.pending)
-        dup.seq = self.seq
-        dup.event_index = self.event_index
         dup.base = BaseInstance()
         dup.base.proposals = dict(self.base.proposals)
         dup.base.decided = self.base.decided
-        dup.flavor = self.flavor
-        dup.base_active = self.base_active
-        dup.byz_activator = self.byz_activator
-        dup.byz_activation_val = self.byz_activation_val
         dup.observed = set(self.observed)
-        dup.pick_enabled = self.pick_enabled
-        dup.pick_done = self.pick_done
-        dup.base_legal = list(self.base_legal)
-        dup.base_decision = self.base_decision
         dup.base_decisions = dict(self.base_decisions)
         dup.counters = {k: dict(v) for k, v in self.counters.items()}
         dup.propose_count = dict(self.propose_count)
         dup.decide_count = dict(self.decide_count)
         dup.decisions = dict(self.decisions)
         dup.violations = list(self.violations)
-        dup.events = []
         dup.applied = list(self.applied)
-        dup._started = self._started
-        dup._live_cache = self._live_cache
         return dup
 
 

@@ -17,12 +17,14 @@ from hypothesis import given, strategies as st
 from biased_consensus import (
     FailureModel,
     FullValue,
+    OptimizerConfig,
     VoteSet,
     adoption_criteria,
     adoption_criteria_full,
     always_valid,
     table_validity,
 )
+from biased_consensus.adoption import rule_model
 
 V = b"v"
 U = b"u"
@@ -172,3 +174,14 @@ def test_full_value_adoption_none_when_absent():
         FailureModel.BYZANTINE_EXTERNAL, fulls, FullValue(V), 1, 4, always_valid
     )
     assert got is None
+
+
+def test_straw_man_runs_the_benign_presence_rule():
+    def cfg(**kw):
+        return OptimizerConfig(4, 1, FullValue(V), FailureModel.BYZANTINE_CLASSICAL, **kw)
+
+    assert rule_model(cfg()) is FailureModel.BYZANTINE_CLASSICAL
+    assert rule_model(cfg(straw_man=True)) is FailureModel.BENIGN
+    votes = _vote_set((V, U, U))
+    assert not adoption_criteria(rule_model(cfg()), votes, FullValue(V), 1, 4)
+    assert adoption_criteria(rule_model(cfg(straw_man=True)), votes, FullValue(V), 1, 4)

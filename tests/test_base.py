@@ -30,7 +30,6 @@ from biased_consensus.base import (
     byz_scramble,
     byz_silent,
     flavor_for,
-    oracle_decide,
     run_eig,
     run_floodset,
     run_phase_king,
@@ -151,16 +150,6 @@ def test_propose_and_decide_guards():
     inst.decide(V, [V])
     with pytest.raises(DuplicatePropose):
         inst.decide(V, [V])
-
-
-def test_oracle_decide_lets_the_adversary_pick():
-    inst = BaseInstance()
-    inst.propose(0, FullValue(V))
-    inst.propose(1, FullValue(U))
-    got = oracle_decide(inst, BaseFlavor.CLASSICAL, {0, 1}, max)
-    assert got == V and inst.decided == V
-    with pytest.raises(DuplicatePropose):
-        oracle_decide(inst, BaseFlavor.CLASSICAL, {0, 1}, max)
 
 
 def test_flavor_for_mapping():

@@ -268,6 +268,18 @@ def test_cli_explore_exit_codes(tmp_path):
     assert "no violations" in clean.stdout
 
 
+def test_cli_rejects_a_bad_event_budget(tmp_path, monkeypatch):
+    assert _cli("scenario", "--name", "figure1", "--f", "1", cwd=tmp_path).returncode == 0
+    monkeypatch.setenv("SIM_EVENT_BUDGET", "abc")
+    out = _cli(
+        "run", "--scenario", str(tmp_path / "figure1-benign-f1.scenario.json"), cwd=tmp_path
+    )
+    _assert_cli_started(out)
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: SIM_EVENT_BUDGET")
+    assert "'abc'" in out.stderr
+
+
 def test_cli_campaign(tmp_path):
     assert _cli("scenario", "--name", "figure1", "--f", "1", cwd=tmp_path).returncode == 0
     out = _cli(

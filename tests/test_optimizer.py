@@ -18,8 +18,10 @@ from biased_consensus import (
     OptimizerNode,
     Phase,
     PreconditionViolation,
+    ProofAwareNode,
     ProposeToBase,
     UnknownSender,
+    Variant,
     table_validity,
 )
 
@@ -219,6 +221,24 @@ def test_timeout_preconditions():
     nd2.start()
     with pytest.raises(PreconditionViolation):
         nd2.on_timeout()   # not enough votes yet
+
+
+@pytest.mark.parametrize("cls", [OptimizerNode, ProofAwareNode])
+def test_copy_after_a_mixed_round_carries_every_field(cls):
+    cfg = OptimizerConfig(
+        4, 1, FullValue(V), FailureModel.BYZANTINE_EXTERNAL, variant=Variant.PROOF_AWARE
+    )
+    nd = cls(cfg, 0, FullValue(U, b"proof-u"))
+    nd.start()
+    if cls is ProofAwareNode:
+        nd.on_full(3, FullValue(V, b"proof-v"))
+    nd.on_proposal(1, V)
+    nd.on_proposal(2, U)
+    assert nd.phase is not Phase.COLLECTING   # the mixed round ran
+    dup = nd.copy()
+    assert type(dup) is cls
+    assert vars(dup).keys() == vars(nd).keys()
+    assert dup.votes.entries == nd.votes.entries and dup.votes is not nd.votes
 
 
 def test_copy_is_independent():

@@ -9,6 +9,7 @@ import pytest
 from biased_consensus import (
     ArbitraryScript,
     Byzantine,
+    ConfigError,
     Correct,
     CrashAt,
     DecisionPath,
@@ -27,7 +28,10 @@ from biased_consensus import (
     Scripted,
     Seeded,
     Silent,
+    Variant,
+    VoteSet,
     byzantine_emit,
+    lower_bound_sigma,
     run,
     validate_scenario,
 )
@@ -141,8 +145,15 @@ def test_event_budget_exhaustion(monkeypatch):
         run(_benign3())
 
 
+@pytest.mark.parametrize("raw", ["abc", "0", "-5"])
+def test_bad_event_budget_is_rejected_naming_the_variable(monkeypatch, raw):
+    monkeypatch.setenv("SIM_EVENT_BUDGET", raw)
+    with pytest.raises(ConfigError, match=f"SIM_EVENT_BUDGET.*'{raw}'"):
+        run(_benign3())
+
+
 def test_envelope_is_frozen_and_caches_its_kind():
-    env = Envelope(0, 0, 1, MsgKind.PROPOSAL, V, b"", 0)
+    env = Envelope(0, 0, 1, MsgKind.PROPOSAL, V, b"")
     assert env.kindval == "proposal"
     with pytest.raises(dataclasses.FrozenInstanceError):
         env.val = U
@@ -306,3 +317,123 @@ def test_mimicking_byzantine_runs_a_machine_with_its_own_value():
     assert trace.violations == []
     # The mimic broadcast u, so nobody saw a unanimous first round.
     assert all(r.path is DecisionPath.BASE for n, r in trace.decisions.items() if n < 4)
+
+
+def test_concrete_base_with_equivocators_replays_under_its_script():
+    # The Byzantine nodes scramble their phase-king messages from a generator
+    # that a scripted replay must reseed exactly as the seeded run did.
+    cfg = OptimizerConfig(9, 2, FullValue(V), FailureModel.BYZANTINE_CLASSICAL)
+    faults = [Correct()] * 9
+    faults[0] = Byzantine(Equivocate(V, U, frozenset({3, 5, 7, 8})))
+    faults[4] = Byzantine(Equivocate(V, U, frozenset({1, 4, 7, 8})))
+    sc = Scenario(
+        cfg=cfg,
+        initial_values=tuple(FullValue(v) for v in (V, U, U, V, V, V, U, U, U)),
+        faults=tuple(faults),
+        schedule=Seeded(6),
+        base="phase_king",
+    )
+    seeded = run(sc)
+    replay = run(dataclasses.replace(sc, schedule=Scripted(tuple(seeded.script))))
+    assert any(ev["ev"] == "sync_base" for ev in seeded.events)
+    assert replay.events == seeded.events
+    assert replay.decisions == seeded.decisions
+
+
+# --- cloning ---------------------------------------------------------------
+
+
+def _state(rn: Runner) -> dict:
+    """Every field of a runner and its machines, minus the validity closure
+    that each runner builds afresh."""
+
+    def fields(obj) -> dict:
+        return {
+            k: v.entries if isinstance(v, VoteSet) else v
+            for k, v in vars(obj).items()
+            if k != "valid"
+        }
+
+    state = fields(rn)
+    state["machines"] = [m and fields(m) for m in rn.machines]
+    state["base"] = vars(rn.base)
+    return state
+
+
+def _clone_midway_then_finish(sc: Scenario, must_contain: str) -> None:
+    """Replay a recorded run step by step; before each step, clone it and
+    drive the clone to quiescence down another branch.  The original must
+    stay equal, field by field, to a twin that is never cloned, and end with
+    the trace of an uncloned run: no clone shares state the original mutates."""
+    script = [tuple(s) for s in run(sc).script]
+    assert any(must_contain in step for step in script)
+    scripted = dataclasses.replace(sc, schedule=Scripted(tuple(script)))
+    original, twin = Runner(scripted), Runner(scripted)
+    original.start_batch()
+    twin.start_batch()
+    detours = 0
+    for i, step in enumerate(script):
+        dup = original.clone()
+        others = [c for c in dup.enabled_choices("explore") if c != step]
+        if others:
+            detours += 1
+            dup.apply_choice(others[i % len(others)])
+            while choices := dup.enabled_choices("explore"):
+                dup.apply_choice(choices[0] if i % 2 else choices[-1])
+            dup._audit()
+        assert _state(original) == _state(twin), f"clone leaked before step {i}"
+        original.apply_choice(step)
+        twin.apply_choice(step)
+    assert detours > len(script) // 2
+    assert original.enabled_choices("scripted") == []
+    original._audit()
+    uncloned = run(scripted)
+    assert original.trace().serialize() == uncloned.serialize()
+    assert original.trace().script == uncloned.script
+
+
+def test_clone_is_independent_benign_with_a_mid_run_crash():
+    sc = _scenario(
+        5,
+        2,
+        FailureModel.BENIGN,
+        (V, U, V, U, V),
+        (Correct(), CrashAt(6), Correct(), Correct(), Correct()),
+        Seeded(3),
+    )
+    _clone_midway_then_finish(sc, "crash")
+
+
+def test_clone_is_independent_proof_aware_with_mixed_inputs():
+    cfg = OptimizerConfig(
+        4,
+        1,
+        FullValue(V),
+        FailureModel.BYZANTINE_EXTERNAL,
+        variant=Variant.PROOF_AWARE,
+    )
+    sc = Scenario(
+        cfg=cfg,
+        initial_values=tuple(FullValue(v, b"proof-" + v) for v in (V, U, V, U)),
+        faults=(Correct(),) * 4,
+        schedule=Seeded(2),
+    )
+    _clone_midway_then_finish(sc, "full")
+
+
+def test_clone_is_independent_in_the_timeout_variant():
+    cfg = OptimizerConfig(
+        4, 1, FullValue(V), FailureModel.BYZANTINE_CLASSICAL, sync_timeout=1.0
+    )
+    sc = Scenario(
+        cfg=cfg,
+        initial_values=tuple(FullValue(v) for v in (V, U, V, U)),
+        faults=(Correct(), Correct(), Correct(), Byzantine(Equivocate(V, U))),
+        schedule=Seeded(4),
+    )
+    _clone_midway_then_finish(sc, "timer")
+
+
+def test_clone_is_independent_when_the_clones_find_violations():
+    sigma3 = lower_bound_sigma(1)[2].scenario   # straw man, ends in a violation
+    _clone_midway_then_finish(sigma3, "pick")
