@@ -135,7 +135,8 @@ def _cmd_explore(args) -> int:
     print(
         f"leaves={report.leaves} events={report.events} "
         f"violating={report.violating_leaves} "
-        f"budget_exceeded={report.budget_exceeded}"
+        f"budget_exceeded={report.budget_exceeded} "
+        f"states={report.states} cache_hits={report.cache_hits}"
     )
     for kind, count in sorted(report.violation_kinds.items()):
         print(f"  {kind}: {count}")

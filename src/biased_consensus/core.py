@@ -26,7 +26,7 @@ class ResiliencyViolation(ConfigError):
 
 
 class InvalidVariant(ConfigError):
-    """Proof-aware variant requested outside the external-validity model."""
+    """A variant (proof-aware, timeout, straw man) outside the model it fits."""
 
 
 class DegenerateSystem(ConfigError):
@@ -141,7 +141,8 @@ class OptimizerConfig:
     straw_man deliberately weakens the classical model to the f < n/3 bound
     with a presence-based adoption rule; it exists so the lower-bound
     scenarios can run a configuration that validate_config would otherwise
-    reject.  sync_timeout switches the optimizer to the timeout variant
+    reject.  It fits only the proof-oblivious classical model without a
+    timeout.  sync_timeout switches the optimizer to the timeout variant
     (classical model, relaxed f < n/3 bound).
     """
 
@@ -184,6 +185,11 @@ def validate_config(cfg: OptimizerConfig) -> OptimizerConfig:
         raise InvalidVariant("proof-aware variant requires the external-validity model")
     if cfg.sync_timeout is not None and cfg.model is not FailureModel.BYZANTINE_CLASSICAL:
         raise InvalidVariant("timeout variant is defined for the classical model only")
+    if cfg.straw_man and not (
+        cfg.model is FailureModel.BYZANTINE_CLASSICAL and cfg.sync_timeout is None
+    ):
+        # The presence rule replaces only the classical proof-oblivious vote rule.
+        raise InvalidVariant("straw man needs the classical model and no timeout")
     if not _bound_holds(cfg):
         raise ResiliencyViolation(
             f"model {cfg.model.value} does not tolerate f={cfg.f} at n={cfg.n}"

@@ -7,12 +7,19 @@ orders that only commute c with an independent choice.  Independence is
 conditional on the current state — two deliveries to the same recipient
 commute unless one of them is the recipient's threshold trigger.
 
+The walk is stateful: each visited state is cached under an exact key
+(Runner.state_key) with the sleep set it was explored with; a state reached
+again is skipped unless its stored sleep set holds a choice the new one does
+not.  So leaves and the outcome multiplicities count visited leaf states,
+not interleavings.
+
 The pruning is validated empirically elsewhere by comparing the reachable
 outcome set against an unpruned walk on small systems.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -35,6 +42,8 @@ class ExplorationReport:
     witness: list[tuple] | None = None
     budget_exceeded: bool = False
     outcomes: Counter = field(default_factory=Counter)
+    states: int = 0
+    cache_hits: int = 0
 
     @property
     def violation_count(self) -> int:
@@ -43,6 +52,30 @@ class ExplorationReport:
 
 class _Budget(Exception):
     pass
+
+
+class _Cache:
+    """One search's visited states, each with the sleep set it was explored
+    with.  Both are stored exactly, so no state is skipped on a collision:
+    a state as the interned ids of its projection's parts, packed into bytes,
+    and a sleep set as a bitmask over interned choices."""
+
+    def __init__(self) -> None:
+        self.sleeps: dict[bytes, int] = {}
+        self.parts: dict[tuple, int] = {}
+        self.bits: dict[tuple, int] = {}
+
+    def key(self, rn: Runner) -> bytes:
+        ids = self.parts
+        parts = [ids.setdefault(p, len(ids)) for p in rn.state_key()]
+        return array("I", parts).tobytes()
+
+    def mask(self, choices: list[tuple]) -> int:
+        bits = self.bits
+        m = 0
+        for c in choices:
+            m |= 1 << bits.setdefault(c, len(bits))
+        return m
 
 
 def explore(
@@ -56,6 +89,10 @@ def explore(
     The scenario's schedule should be Exhaustive; its limits apply unless
     overridden here.  Returns counts of leaves and violating leaves, the
     multiset of distinct outcomes, and the shortest violating choice script.
+    With prune=True a state reached again is not walked again, so leaves and
+    the outcome multiplicities count visited leaf states, and the witness is
+    the shortest among the violating leaves visited; it still replays.
+    prune=False walks every interleaving: the ground truth, without a cache.
     """
     sched = scenario.schedule
     limits = sched if isinstance(sched, Exhaustive) else Exhaustive()
@@ -64,10 +101,12 @@ def explore(
     report = ExplorationReport()
     root = Runner(scenario, record_trace=False)
     root.start_batch()
+    cache = _Cache() if prune else None
     try:
-        _dfs(root, [], report, leaves_cap, events_cap, prune)
+        _dfs(root, [], report, leaves_cap, events_cap, cache)
     except _Budget:
         report.budget_exceeded = True
+    report.states = len(cache.sleeps) if cache else 0
     return report
 
 
@@ -77,13 +116,33 @@ def _dfs(
     report: ExplorationReport,
     leaves_cap: int,
     events_cap: int,
-    prune: bool,
+    cache: _Cache | None,
 ) -> None:
+    stored = None
+    if cache is not None:
+        # A state explored with sleep set T already covers every leaf a visit
+        # with sleep set S must find when T is a subset of S (Godefroid,
+        # Partial-Order Methods, LNCS 1032, 1996).
+        key = cache.key(rn)
+        mask = cache.mask(sleep)
+        stored = cache.sleeps.get(key)
+        if stored is not None and not stored & ~mask:
+            report.cache_hits += 1
+            return
+        cache.sleeps[key] = mask if stored is None else stored & mask
     enabled = rn.enabled_choices("explore")
     if not enabled:
-        _leaf(rn, report, leaves_cap)
+        if stored is None:
+            _leaf(rn, report, leaves_cap)
         return
-    if prune:
+    if stored is not None:
+        # Otherwise only the choices earlier visits slept on and this one
+        # does not are new, and they run under the intersected sleep set.
+        bits = cache.bits
+        awake = stored & ~mask
+        frontier = [c for c in enabled if c in bits and awake >> bits[c] & 1]
+        sleep = [u for u in sleep if stored >> bits[u] & 1]
+    elif cache is not None:
         frontier = [c for c in enabled if c not in sleep]
         if not frontier:
             # Every continuation is a reordering already covered elsewhere.
@@ -99,7 +158,7 @@ def _dfs(
                     raise _Budget
                 rn.apply_choice(c)
                 report.events += 1
-                _dfs(rn, sleep, report, leaves_cap, events_cap, prune)
+                _dfs(rn, sleep, report, leaves_cap, events_cap, cache)
                 return
         cluster = _ample_cluster(enabled, rn)
         if cluster is not None:
@@ -114,12 +173,10 @@ def _dfs(
             raise _Budget
         # The last branch can run in place; earlier ones need a clone.
         child = rn if i == len(frontier) - 1 else rn.clone()
-        new_sleep = (
-            [u for u in sleep + done if _independent(u, c, rn)] if prune else []
-        )
+        new_sleep = [u for u in sleep + done if _independent(u, c, rn)] if cache else []
         child.apply_choice(c)
         report.events += 1
-        _dfs(child, new_sleep, report, leaves_cap, events_cap, prune)
+        _dfs(child, new_sleep, report, leaves_cap, events_cap, cache)
         done.append(c)
 
 

@@ -208,6 +208,13 @@ class OptimizerNode:
         )
         return self._enter_base(self.cfg.preferred if adopts else self.my_value)
 
+    def state_key(self) -> tuple:
+        """What can still change this machine's future: nothing reads the
+        vote book once the machine stops collecting."""
+        collecting = self.phase is Phase.COLLECTING
+        votes = tuple(sorted(self.votes.entries.items())) if collecting else None
+        return (self.phase, self.decision, self.joined_base, votes)
+
     def copy(self) -> "OptimizerNode":
         # Explicit assignments: a generic __dict__ copy is markedly slower,
         # and the explorer copies machines hundreds of thousands of times.

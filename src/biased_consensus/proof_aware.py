@@ -100,6 +100,16 @@ class ProofAwareNode(OptimizerNode):
         )
         return self._enter_base(adopted if adopted is not None else self.my_value)
 
+    def state_key(self) -> tuple:
+        # Full values count in arrival order (the rule adopts the first
+        # carrier) and with their proofs, until the exchange is evaluated.
+        live = self.phase in (Phase.COLLECTING, Phase.FULL_EXCHANGE)
+        full = None
+        if live and not self.full_evaluated:
+            full = tuple((s, fv.val, fv.proof) for s, fv in self.fullvals.items())
+        exchange = (self.broadcast_full, self.full_evaluated, full)
+        return super().state_key() + (tuple(sorted(self.replied_to)),) + exchange
+
     def copy(self) -> "ProofAwareNode":
         dup = super().copy()
         dup.fullvals = dict(self.fullvals)

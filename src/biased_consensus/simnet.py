@@ -23,6 +23,7 @@ import os
 import json
 import random
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Container, Sequence, Union
 
 from .base import (
@@ -931,6 +932,42 @@ class Runner:
         dup.violations = list(self.violations)
         dup.applied = list(self.applied)
         return dup
+
+    def state_key(self) -> tuple:
+        """An exact projection of what can still change a choice, the audit
+        or the leaf outcome, as a tuple of hashable parts: one machine key
+        and one inbox per node, then the rest.  An inbox groups pending
+        envelopes by stream in seq order, the order a choice's occurrence
+        index counts.  Left out: counters, seq, event_index (explore never
+        gates crashes on it), applied, events and decision event indices."""
+        inbox: list[list[tuple]] = [[] for _ in self.machines]
+        other = []
+        for ev in self.pending:
+            if ev[0] == "deliver":
+                e = ev[1]
+                inbox[e.dst].append((e.src, e.kindval, e.val, e.proof))
+            else:
+                other.append(ev)
+        base = self.base
+        rest = (
+            tuple(sorted(other)), tuple(sorted(self.crashed)),
+            tuple(sorted(self.observed)),
+            # The base instance.
+            tuple((p, fv.val, fv.proof) for p, fv in sorted(base.proposals.items())),
+            base.decided, self.base_active, self.byz_activator, self.byz_activation_val,
+            self.pick_enabled, self.pick_done, tuple(self.base_legal),
+            self.base_decision, tuple(sorted(self.base_decisions.items())),
+            # The audit's inputs.
+            tuple((d, r.value, r.path) for d, r in sorted(self.decisions.items())),
+            tuple(self.propose_count.values()), tuple(self.decide_count.values()),
+            tuple(sorted({k for k, _ in self.violations})),
+        )
+        stream = itemgetter(0, 1)   # (src, kind); the sort is stable, seq order stays
+        return (
+            *(m.state_key() if m is not None else None for m in self.machines),
+            *(tuple(sorted(box, key=stream)) for box in inbox),
+            rest,
+        )
 
 
 def run(scenario: Scenario, record_trace: bool = True) -> Trace:

@@ -55,6 +55,23 @@ def test_straw_man_relaxes_classical_bound_only():
         validate_config(_cfg(3, 1, FailureModel.BYZANTINE_CLASSICAL, straw_man=True))
 
 
+@pytest.mark.parametrize(
+    "model, kw",
+    [
+        (FailureModel.BYZANTINE_CLASSICAL, {"sync_timeout": 1.0}),
+        (FailureModel.BYZANTINE_EXTERNAL, {"variant": Variant.PROOF_AWARE}),
+        (FailureModel.BYZANTINE_EXTERNAL, {}),
+        (FailureModel.BENIGN, {}),
+    ],
+    ids=["timeout", "proof-aware", "external", "benign"],
+)
+def test_straw_man_fits_only_the_classical_vote_rule(model, kw):
+    """Anywhere but the proof-oblivious classical rule without a timeout the
+    presence rule would never run: the flag is refused, not ignored."""
+    with pytest.raises(InvalidVariant, match="straw man"):
+        validate_config(_cfg(4, 1, model, straw_man=True, **kw))
+
+
 def test_timeout_variant_is_classical_only_and_relaxed():
     ok = _cfg(4, 1, FailureModel.BYZANTINE_CLASSICAL, sync_timeout=10)
     assert validate_config(ok) is ok

@@ -4,11 +4,15 @@ The pruner's ground truth is the unpruned walk.  One mixed-input system is
 checked for full outcome-set equality (the unpruned side is the slow part of
 this file); larger systems get the one-directional check that still matters —
 every outcome an unpruned walk can find must appear in the pruned set.
+Generated systems of up to four nodes get whichever of the two checks their
+capped unpruned walk allows.
 """
 
 from __future__ import annotations
 
 import dataclasses
+
+from hypothesis import given, settings, strategies as st
 
 from biased_consensus import (
     Byzantine,
@@ -18,10 +22,13 @@ from biased_consensus import (
     Exhaustive,
     FailureModel,
     FullValue,
+    MimicHonest,
     OptimizerConfig,
     Scenario,
     Scripted,
     Seeded,
+    Silent,
+    Variant,
     explore,
     lower_bound_sigma,
     run,
@@ -143,3 +150,97 @@ def test_exploration_is_deterministic():
     assert first.outcomes == second.outcomes
     assert (first.leaves, first.events) == (second.leaves, second.events)
     assert first.witness == second.witness
+
+
+def test_the_cache_reports_its_states_and_hits():
+    cached = explore(_benign_mixed())
+    assert cached.states > 0 and cached.cache_hits > 0
+    # Every leaf is a distinct visited state.
+    assert cached.leaves <= cached.states
+    plain = explore(_benign_mixed(), prune=False, max_events=1_000)
+    assert (plain.states, plain.cache_hits) == (0, 0)
+
+
+# --- differential soundness: the pruned, cached search against the plain walk
+
+
+_PLAIN_CAP = 20_000   # events; a capped plain walk is only a sample
+
+
+@st.composite
+def _small_scenarios(draw):
+    """Systems of at most four nodes: every model, both variants, the timeout
+    variant and the straw man, with up to f crash or Byzantine faults."""
+    kind = draw(
+        st.sampled_from(
+            ["benign", "classical", "straw-man", "timeout", "external", "proof-aware"]
+        )
+    )
+    model = {
+        "benign": FailureModel.BENIGN,
+        "external": FailureModel.BYZANTINE_EXTERNAL,
+        "proof-aware": FailureModel.BYZANTINE_EXTERNAL,
+    }.get(kind, FailureModel.BYZANTINE_CLASSICAL)
+    n = 4 if kind == "straw-man" else draw(st.integers(2, 4))
+    bound = {"benign": (n - 1) // 2, "classical": (n - 1) // 4}.get(kind, (n - 1) // 3)
+    f = bound   # the most faults the model tolerates: 0 or 1 here
+    aware = kind == "proof-aware"
+    proof = {V: b"pv", U: b"pu"} if aware else {V: b"", U: b""}
+    cfg = OptimizerConfig(
+        n,
+        f,
+        FullValue(V, proof[V]),
+        model,
+        variant=Variant.PROOF_AWARE if aware else Variant.PROOF_OBLIVIOUS,
+        sync_timeout=1.0 if kind == "timeout" else None,
+        straw_man=kind == "straw-man",
+    )
+    values = draw(st.lists(st.sampled_from([V, U]), min_size=n, max_size=n))
+    kinds = ["crash-at-0", "crash-mid"] if kind != "timeout" else []
+    if model is not FailureModel.BENIGN:
+        kinds += ["silent", "equivocate", "mimic"]
+    least = 0
+    if aware:
+        # Four full-value exchanges reach about a million states (minutes of
+        # search): at n = 4 one node runs no machine.
+        kinds = ["crash-at-0", "silent", "equivocate"]
+        least = f
+    nodes = st.lists(st.integers(0, n - 1), min_size=least, max_size=f, unique=True)
+    faulty = draw(nodes) if kinds else []
+    faults = [Correct()] * n
+    for node in faulty:
+        fault = draw(st.sampled_from(kinds))
+        if fault == "crash-at-0":
+            faults[node] = CrashAt(0)
+        elif fault == "crash-mid":
+            faults[node] = CrashAt(1)
+        elif fault == "silent":
+            faults[node] = Byzantine(Silent())
+        elif fault == "equivocate":
+            targets = draw(st.frozensets(st.integers(0, n - 1)))
+            faults[node] = Byzantine(Equivocate(V, U, targets))
+        else:
+            x = draw(st.sampled_from([V, U]))
+            faults[node] = Byzantine(MimicHonest(FullValue(x, proof[x])))
+    validity = {}
+    if model is FailureModel.BYZANTINE_EXTERNAL:
+        validity = draw(st.sampled_from([{}, {U: False}]))
+    return Scenario(
+        cfg=cfg,
+        initial_values=tuple(FullValue(x, proof[x]) for x in values),
+        faults=tuple(faults),
+        schedule=Exhaustive(),
+        validity=validity,
+    )
+
+
+@settings(max_examples=35, deadline=None)
+@given(_small_scenarios())
+def test_pruned_search_matches_the_plain_walk_on_generated_systems(sc):
+    pruned = explore(sc)
+    assert not pruned.budget_exceeded
+    plain = explore(sc, prune=False, max_events=_PLAIN_CAP)
+    if plain.budget_exceeded:
+        assert set(plain.outcomes) <= set(pruned.outcomes)
+    else:
+        assert set(pruned.outcomes) == set(plain.outcomes)

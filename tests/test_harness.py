@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -266,6 +267,7 @@ def test_cli_explore_exit_codes(tmp_path):
     )
     assert clean.returncode == 0
     assert "no violations" in clean.stdout
+    assert re.search(r"states=[1-9]\d* cache_hits=\d+", clean.stdout)
 
 
 def test_cli_rejects_a_bad_event_budget(tmp_path, monkeypatch):

@@ -22,6 +22,7 @@ from biased_consensus import (
     MsgKind,
     NonQuiescence,
     OptimizerConfig,
+    Phase,
     Runner,
     Scenario,
     ScenarioInvalid,
@@ -437,3 +438,100 @@ def test_clone_is_independent_in_the_timeout_variant():
 def test_clone_is_independent_when_the_clones_find_violations():
     sigma3 = lower_bound_sigma(1)[2].scenario   # straw man, ends in a violation
     _clone_midway_then_finish(sigma3, "pick")
+
+
+# --- the explorer's state key ----------------------------------------------
+
+# Fields that state_key() leaves out, and why: a new field must land here or
+# in the key.
+_RUNNER_NOT_STATE = {
+    # The scenario and settings, fixed for the whole run.
+    "sc", "cfg", "valid", "record_trace", "budget", "flavor",
+    "is_byz", "crash_after", "machine_nodes",
+    # History no future choice, audit or outcome reads: traffic counts,
+    # envelope numbering, the step count (explore never gates crashes on
+    # it), the applied script and the trace.
+    "counters", "seq", "event_index", "applied", "events",
+    # Set once by start_batch; a cache of correct_live(faults, crashed).
+    "_started", "_live_cache",
+}
+_MACHINE_NOT_STATE = {
+    # Fixed at construction, or (started) set once by start().
+    "cfg", "node_id", "my_value", "valid", "started",
+}
+
+
+def _key_reads(obj) -> set:
+    """The instance fields obj.state_key() reads."""
+    reads = set()
+
+    class Spy(type(obj)):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return object.__getattribute__(self, name)
+
+    spy = object.__new__(Spy)
+    spy.__dict__.update(vars(obj))
+    spy.state_key()
+    return reads & set(vars(obj))
+
+
+def _external4(variant, values=(V, U, V, U)):
+    cfg = OptimizerConfig(
+        4, 1, FullValue(V), FailureModel.BYZANTINE_EXTERNAL, variant=variant
+    )
+    rn = Runner(
+        Scenario(
+            cfg=cfg,
+            initial_values=tuple(FullValue(v, b"p" + v) for v in values)
+            if variant is Variant.PROOF_AWARE
+            else tuple(FullValue(v) for v in values),
+            faults=(Correct(),) * 4,
+            schedule=Seeded(0),
+        ),
+        record_trace=False,
+    )
+    rn.start_batch()
+    return rn
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_state_key_reads_every_field_that_is_state(variant):
+    rn = _external4(variant)   # collecting machines: every field is live
+    assert set(vars(rn.base)) == {"proposals", "decided"}   # both in the key
+    for obj, not_state in ((rn, _RUNNER_NOT_STATE), (rn.machines[0], _MACHINE_NOT_STATE)):
+        reads = _key_reads(obj)
+        assert not reads & not_state
+        assert set(vars(obj)) == reads | not_state
+
+
+def test_commuting_deliveries_in_either_order_give_equal_keys():
+    # Nodes 0 and 1 each hold two votes of a mixed round; the third vote
+    # makes each broadcast its full value, in the order the votes arrive.
+    rn = _external4(Variant.PROOF_AWARE)
+    rn.apply_choice(("deliver", 1, 0, "proposal", 0))
+    rn.apply_choice(("deliver", 0, 1, "proposal", 0))
+    first, second = ("deliver", 2, 0, "proposal", 0), ("deliver", 2, 1, "proposal", 0)
+    a, b = rn.clone(), rn.clone()
+    a.apply_choice(first)
+    a.apply_choice(second)
+    b.apply_choice(second)
+    b.apply_choice(first)
+    assert a.pending != b.pending   # emitted in another order, with other seqs
+    assert a.state_key() == b.state_key()
+    assert a.state_key() != rn.state_key()
+
+
+def test_a_collecting_vote_book_is_state_and_a_settled_one_is_not():
+    rn = Runner(
+        _scenario(5, 2, FailureModel.BENIGN, (V,) * 5, (Correct(),) * 5, Seeded(0)),
+        record_trace=False,
+    )
+    rn.start_batch()
+    a, b = rn.clone(), rn.clone()
+    a.machines[0].votes.add(1, V)
+    b.machines[0].votes.add(1, U)
+    assert a.state_key() != b.state_key()
+    for x in (a, b):
+        x.machines[0].phase = Phase.IN_BASE
+    assert a.state_key() == b.state_key()
