@@ -2,8 +2,9 @@
 
 The goldens are all scripted, oblivious and without timers; these runs cover
 what they leave out: seeded schedules, the proof-aware variant, the timeout
-variant and the concrete bases.  Each key names a configuration, a base, n
-and a seed; the scenario behind it is rebuilt from those alone.
+variant and the concrete bases, from n=5 up to n=33.  Each key names a
+configuration, a base, n and a seed; the scenario behind it is rebuilt from
+those alone.
 
 Regenerate the digests (only in a change that means to move them) with
 ``PYTHONPATH=src python tests/test_seeded_traces.py``.
@@ -38,7 +39,8 @@ DIGESTS = Path(__file__).resolve().with_name("seeded_traces.json")
 V = b"v"
 U = b"u"
 SEEDS = range(10)
-SIZES = (5, 9)
+# n -> the seeds run at that size.
+SIZES = {5: SEEDS, 9: SEEDS, 16: SEEDS, 33: range(3)}
 
 # name -> (model, variant, d with f = (n - 1) // d, config extras, concrete base)
 _CLASSICAL = FailureModel.BYZANTINE_CLASSICAL
@@ -51,10 +53,16 @@ CONFIGS = {
     "external-proof-aware": (_EXTERNAL, Variant.PROOF_AWARE, 3, {}, "eig"),
     "classical-timeout": (_CLASSICAL, _OBLIVIOUS, 3, {"sync_timeout": 1.0}, "phase_king"),
     "classical-straw-man": (_CLASSICAL, _OBLIVIOUS, 3, {"straw_man": True}, "phase_king"),
+    # Every faulty node equivocates, and only the concrete base runs.
+    "classical-equivocating": (_CLASSICAL, _OBLIVIOUS, 4, {}, "phase_king"),
+    "external-equivocating": (_EXTERNAL, _OBLIVIOUS, 3, {}, "eig"),
 }
+_EQUIVOCATING = ("classical-equivocating", "external-equivocating")
 
 
 def _fault_kinds(name: str, model: FailureModel, base: str) -> list[str]:
+    if name in _EQUIVOCATING:
+        return ["equivocate"]
     kinds = ["crash"]
     if model is not FailureModel.BENIGN:
         kinds.append("silent")
@@ -109,13 +117,23 @@ def build(name: str, base: str, n: int, seed: int) -> Scenario:
     )
 
 
+def _runs(name: str, base: str, n: int) -> bool:
+    """Whether the corpus holds this configuration, base and size."""
+    if base == "oracle":
+        return name not in _EQUIVOCATING
+    if base == "eig":
+        return n <= 9   # EIG relays a tree of n^(f+1) labels
+    return base != "phase_king" or n > 4 * ((n - 1) // CONFIGS[name][2])
+
+
 def all_keys() -> list[tuple[str, str, int, int]]:
     return [
         (name, base, n, seed)
         for name, spec in CONFIGS.items()
         for base in ("oracle", spec[4])
-        for n in SIZES
-        for seed in SEEDS
+        for n, seeds in SIZES.items()
+        if _runs(name, base, n)
+        for seed in seeds
     ]
 
 
@@ -155,6 +173,7 @@ def test_the_pinned_runs_cover_every_fault_kind_and_base():
         (True, "Equivocate"),
         (False, "CrashAt"),
         (False, "Silent"),
+        (False, "Equivocate"),
     }
 
 
