@@ -68,15 +68,15 @@ class BaseInstance:
         correct_live / crashed classify the proposers; proposals from nodes in
         neither set (Byzantine) never constrain or widen the legal set.
         """
-        live = [self.proposals[p].val for p in self.proposals if p in set(correct_live)]
+        live_ids = set(correct_live)
+        live = [fv.val for p, fv in self.proposals.items() if p in live_ids]
         if not live:
             raise PreconditionViolation("no correct proposer registered")
         if flavor is BaseFlavor.BENIGN:
             # A proposer that crashed afterwards still got its value into the
             # protocol, so it stays a candidate and breaks unanimity.
-            pool = live + [
-                self.proposals[p].val for p in self.proposals if p in set(crashed)
-            ]
+            crashed_ids = set(crashed)
+            pool = live + [fv.val for p, fv in self.proposals.items() if p in crashed_ids]
             if len(set(pool)) == 1:
                 return [pool[0]]
             return sorted(set(pool))
@@ -89,7 +89,7 @@ class BaseInstance:
                 {
                     fv.val
                     for p, fv in self.proposals.items()
-                    if p in set(correct_live) and valid(fv)
+                    if p in live_ids and valid(fv)
                 }
             )
             if not ok:

@@ -304,7 +304,7 @@ def _singleton_ample(c: tuple, rn: Runner) -> bool:
     if src in m.votes:
         return False   # duplicate: the no-op rule covers it
     new_senders = set()
-    for ev in rn.pending:
+    for ev in rn.pending.values():
         if ev[0] in ("crash", "timer") and ev[1] in (src, dst):
             return False
         if ev[0] != "deliver":

@@ -74,6 +74,30 @@ def _bytes_from_obj(obj: Any, what: str) -> bytes:
     raise ScenarioInvalid(f"{what}: expected {{'text': ...}} or {{'hex': ...}}")
 
 
+def _fields(obj: Any, what: str, *allowed: str) -> dict:
+    """obj, checked to be an object whose keys are all among allowed."""
+    if not isinstance(obj, dict):
+        raise ScenarioInvalid(f"{what}: expected an object, got {obj!r}")
+    unknown = sorted(set(obj) - set(allowed))
+    if unknown:
+        raise ScenarioInvalid(f"{what}: unknown keys {unknown}")
+    return obj
+
+
+def _flag(obj: dict, key: str, default: bool | None) -> bool:
+    value = obj.get(key, default)
+    if not isinstance(value, bool):
+        raise ScenarioInvalid(f"{key} must be true or false, got {value!r}")
+    return value
+
+
+def _count(obj: dict, key: str, default: int, least: int) -> int:
+    value = obj.get(key, default)
+    if type(value) is not int or value < least:
+        raise ScenarioInvalid(f"{key} must be an integer >= {least}, got {value!r}")
+    return value
+
+
 # --- faults -----------------------------------------------------------------
 
 def _strategy_to_obj(s: Strategy) -> dict:
@@ -152,13 +176,16 @@ def _fault_to_obj(fl: Fault) -> dict:
 
 
 def _fault_from_obj(obj: dict) -> Fault:
-    kind = obj.get("kind", "correct")
+    kind = obj.get("kind") if isinstance(obj, dict) else None
     if kind == "correct":
+        _fields(obj, "correct fault", "kind")
         return Correct()
     if kind == "crash":
-        return CrashAt(int(obj.get("at_event", 0)))
+        _fields(obj, "crash fault", "kind", "at_event")
+        return CrashAt(_count(obj, "at_event", 0, 0))
     if kind == "byzantine":
-        return Byzantine(_strategy_from_obj(obj.get("strategy", {})))
+        _fields(obj, "byzantine fault", "kind", "strategy")
+        return Byzantine(_strategy_from_obj(obj["strategy"]))
     raise ScenarioInvalid(f"unknown fault kind {kind!r}")
 
 
@@ -179,15 +206,18 @@ def _schedule_to_obj(sched: Schedule) -> dict:
 
 
 def _schedule_from_obj(obj: dict) -> Schedule:
-    mode = obj.get("mode")
+    mode = obj.get("mode") if isinstance(obj, dict) else None
     if mode == "seeded":
+        _fields(obj, "seeded schedule", "mode", "seed")
         return Seeded(int(obj["seed"]))
     if mode == "scripted":
+        _fields(obj, "scripted schedule", "mode", "steps")
         return Scripted(tuple(tuple(s) for s in obj.get("steps", [])))
     if mode == "exhaustive":
+        _fields(obj, "exhaustive schedule", "mode", "max_leaves", "max_events")
         return Exhaustive(
-            int(obj.get("max_leaves", 200_000)),
-            int(obj.get("max_events", 5_000_000)),
+            _count(obj, "max_leaves", 200_000, 1),
+            _count(obj, "max_events", 5_000_000, 1),
         )
     raise ScenarioInvalid(f"unknown schedule mode {mode!r}")
 
@@ -232,7 +262,11 @@ def scenario_to_obj(sc: Scenario) -> dict:
 
 def scenario_from_obj(obj: dict) -> Scenario:
     try:
-        system = obj["system"]
+        _fields(obj, "scenario", "nodes", "schedule", "system", "validity")
+        system = _fields(
+            obj["system"], "system", "base", "binary_domain", "f", "model", "n", "name",
+            "preferred", "preferred_proof", "straw_man", "sync_timeout", "variant",
+        )
         cfg = OptimizerConfig(
             n=int(system["n"]),
             f=int(system["f"]),
@@ -243,8 +277,8 @@ def scenario_from_obj(obj: dict) -> Scenario:
             model=FailureModel(system["model"]),
             variant=Variant(system.get("variant", "proof_oblivious")),
             sync_timeout=system.get("sync_timeout"),
-            binary_domain=bool(system.get("binary_domain", False)),
-            straw_man=bool(system.get("straw_man", False)),
+            binary_domain=_flag(system, "binary_domain", False),
+            straw_man=_flag(system, "straw_man", False),
         )
         nodes = sorted(obj["nodes"], key=lambda nd: int(nd["id"]))
         if [int(nd["id"]) for nd in nodes] != list(range(cfg.n)):
@@ -256,10 +290,10 @@ def scenario_from_obj(obj: dict) -> Scenario:
             )
             for nd in nodes
         )
-        faults = tuple(_fault_from_obj(nd.get("fault", {})) for nd in nodes)
-        validity_obj = obj.get("validity", {})
+        faults = tuple(_fault_from_obj(nd["fault"]) for nd in nodes)
+        validity_obj = _fields(obj.get("validity", {}), "validity", "default", "table")
         validity = {
-            _bytes_from_obj(e["val"], "validity entry"): bool(e["valid"])
+            _bytes_from_obj(e["val"], "validity entry"): _flag(e, "valid", None)
             for e in validity_obj.get("table", [])
         }
         sc = Scenario(
@@ -268,7 +302,7 @@ def scenario_from_obj(obj: dict) -> Scenario:
             faults=faults,
             schedule=_schedule_from_obj(obj["schedule"]),
             validity=validity,
-            validity_default=bool(validity_obj.get("default", True)),
+            validity_default=_flag(validity_obj, "default", True),
             base=system.get("base", "oracle"),
             name=str(system.get("name", "")),
         )
@@ -395,5 +429,16 @@ def verify_goldens(directory: str) -> list[tuple[str, bool, str]]:
         if fresh == pinned:
             results.append((name, True, "match"))
         else:
-            results.append((name, False, "trace drifted from golden"))
+            results.append((name, False, _first_divergence(pinned, fresh)))
     return results
+
+
+def _first_divergence(pinned: str, fresh: str) -> str:
+    """The first line where two traces differ, both versions cut to a
+    window around their first differing character."""
+    old, new = pinned.split("\n") + [None], fresh.split("\n") + [None]
+    row = next(i for i, (a, b) in enumerate(zip(old, new)) if a != b)
+    a, b = old[row] or "", new[row] or ""
+    col = next((j for j, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    cut = [line[max(0, col - 36) : col + 36] for line in (a, b)]
+    return f"first divergence at line {row + 1}: golden {cut[0]!r} | fresh {cut[1]!r}"

@@ -22,9 +22,10 @@ from __future__ import annotations
 import os
 import json
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Container, Sequence, Union
+from typing import Container, Union
 
 from .base import (
     BaseInstance,
@@ -63,6 +64,7 @@ from .optimizer import (
 from .proof_aware import ProofAwareNode
 
 DEFAULT_EVENT_BUDGET = 1_000_000
+_KINDS = tuple(k.value for k in MsgKind)
 
 
 def event_budget() -> int:
@@ -259,7 +261,7 @@ class Envelope:
     val: bytes
     proof: bytes
     # Cached kind.value: enum attribute access is a descriptor call, and the
-    # schedule enumerator reads this once per pending envelope per step.
+    # pending index and the choice enumerators key every stream by it.
     kindval: str = field(init=False, repr=False, compare=False, default="")
 
     def __post_init__(self) -> None:
@@ -341,7 +343,18 @@ class Runner:
             )
         )
 
-        self.pending: list[tuple] = []
+        # Pending events by slot, in the order choices list them, and indexes
+        # derived from them: each stream's slots in seq order, the slot of each
+        # crash, timer and decision, and pending proposals by destination.
+        self.pending: dict[int, tuple] = {}
+        self._next_slot = 0
+        self._streams: dict[tuple, tuple[int, ...]] = {}
+        self._slot_of: dict[tuple, int] = {}
+        self._proposals_to = [0] * n
+        # Seeded runs add each slot's choice count, and the gated crashes'
+        # (crash_after, slot), latest first.
+        self._tree: _Fenwick | None = None
+        self._gates: list[tuple[int, int]] = []
         self.seq = 0
         self.event_index = 0
         self.base = BaseInstance()
@@ -366,6 +379,7 @@ class Runner:
         self.applied: list[tuple] = []
         self._started = False
         self._live_cache: list[NodeId] | None = None
+        self._legal_sizes: tuple[int, int] | None = None
 
     # -- construction of machines and initial emissions ----------------------
 
@@ -388,7 +402,7 @@ class Runner:
                 continue
             if isinstance(fl, CrashAt):
                 self.crash_after[node] = fl.at_event
-                self.pending.append(("crash", node))
+                self._add(("crash", node))
             if isinstance(fl, Byzantine) and not isinstance(fl.strategy, MimicHonest):
                 sends = byzantine_emit(fl.strategy, node, self.cfg.n)
                 rec = {"ev": "start", "node": node, "actions": []}
@@ -410,7 +424,7 @@ class Runner:
         if self.cfg.sync_timeout is not None:
             for node in range(self.cfg.n):
                 if self.machines[node] is not None and node not in self.is_byz:
-                    self.pending.append(("timer", node))
+                    self._add(("timer", node))
         self._post_event()
 
     def _emit(
@@ -423,7 +437,7 @@ class Runner:
         c["val_bytes"] += len(val)
         c["proof_bytes"] += len(proof)
         if dst not in self.crashed and dst in self.machine_nodes:
-            self.pending.append(("deliver", env))
+            self._add(("deliver", env))
         return env
 
     def _apply_actions(self, node: NodeId, actions: list, rec: dict) -> None:
@@ -494,17 +508,20 @@ class Runner:
                     self.observed.add(node)
                     self._emit(src[0], node, MsgKind.BASE, src[1], b"")
         live = self._correct_live()
+        # Proposals and crashes only accumulate: equal counts, equal legal set.
+        sizes = (len(self.base.proposals), len(self.crashed))
         if not live:
             # Nobody is left to referee the instance — and nobody is left
             # waiting on a decision either.
             self.pick_enabled = False
             self.pick_done = True
-        elif all(p in self.base.proposals for p in live):
+        elif sizes != self._legal_sizes and all(p in self.base.proposals for p in live):
+            self._legal_sizes = sizes
             crashed_proposers = [p for p in self.base.proposals if p in self.crashed]
             newly = not self.pick_enabled
             try:
-                # Recomputed after every event: a crash can shrink the legal
-                # set (a dead proposer no longer blocks unanimity).
+                # A crash can shrink the legal set (a dead proposer no longer
+                # blocks unanimity).
                 self.base_legal = self.base.legal_decisions(
                     self.flavor, live, crashed_proposers, self.valid
                 )
@@ -562,54 +579,41 @@ class Runner:
         for node in sorted(proposals):
             if node in decisions:
                 self.base_decisions[node] = decisions[node]
-                self.pending.append(("decision", node))
+                self._add(("decision", node))
 
     # -- choice enumeration and application ----------------------------------
 
-    def enabled_choices(self, mode: str) -> list[tuple]:
-        """Describe every schedulable step as a script-compatible tuple."""
+    def enabled_choices(self, mode: str) -> Sequence[tuple]:
+        """Describe every schedulable step as a script-compatible tuple, in
+        the order the events were queued; base picks come last.  Seeded mode
+        gates crashes on crash_after and returns a view valid until the next
+        apply_choice."""
+        if mode == "seeded":
+            if self._tree is None:
+                self._build_tree()
+            while self._gates and self._gates[-1][0] <= self.event_index:
+                slot = self._gates.pop()[1]
+                if slot in self.pending:
+                    self._set_weight(slot)
+            view = _SeededChoices(self)
+            if view:
+                return view
+            # Quiescent except for future crashes: let them fire late.
+            return [ev for ev in self.pending.values() if ev[0] == "crash"]
         out: list[tuple] = []
         occ: dict[tuple, int] = {}
-        only_gated_crashes = True
-        for ev in self.pending:
-            if ev[0] == "deliver":
-                env: Envelope = ev[1]
-                key = (env.src, env.dst, env.kindval)
+        for tag, x in self.pending.values():
+            if tag == "deliver":
+                key = (x.src, x.dst, x.kindval)
                 k = occ.get(key, 0)
                 occ[key] = k + 1
-                out.append(("deliver", env.src, env.dst, env.kindval, k))
-                if env.src in self.crashed:
-                    out.append(("drop", env.src, env.dst, env.kindval, k))
-                only_gated_crashes = False
-            elif ev[0] == "decision":
-                out.append(("decision", ev[1]))
-                only_gated_crashes = False
-            elif ev[0] == "timer":
-                if not any(
-                    e[0] == "deliver"
-                    and e[1].dst == ev[1]
-                    and e[1].kind is MsgKind.PROPOSAL
-                    for e in self.pending
-                ):
-                    out.append(("timer", ev[1]))
-                    only_gated_crashes = False
-            elif ev[0] == "crash":
-                gated = (
-                    mode == "seeded"
-                    and self.event_index < self.crash_after.get(ev[1], 0)
-                )
-                if not gated:
-                    out.append(("crash", ev[1]))
-                    only_gated_crashes = False
+                out.append(("deliver", *key, k))
+                if x.src in self.crashed:
+                    out.append(("drop", *key, k))
+            elif tag != "timer" or not self._proposals_to[x]:
+                out.append((tag, x))
         if self.pick_enabled and not self.pick_done:
-            for v in self.base_legal:
-                out.append(("pick", v.hex()))
-            only_gated_crashes = False
-        if mode == "seeded" and only_gated_crashes:
-            # Quiescent except for future crashes: let them fire late.
-            for ev in self.pending:
-                if ev[0] == "crash":
-                    out.append(("crash", ev[1]))
+            out.extend(("pick", v.hex()) for v in self.base_legal)
         return out
 
     def apply_choice(self, choice: tuple) -> None:
@@ -630,7 +634,7 @@ class Runner:
             )
             for node in sorted(self.base.proposals):
                 if node not in self.crashed:
-                    self.pending.append(("decision", node))
+                    self._add(("decision", node))
             self.event_index += 1
             self._post_event()
             return
@@ -665,24 +669,80 @@ class Runner:
         tag = choice[0]
         if tag in ("deliver", "drop"):
             _, src, dst, kind, k = choice
-            seen = 0
-            for i, ev in enumerate(self.pending):
-                if ev[0] != "deliver":
-                    continue
-                env = ev[1]
-                if (env.src, env.dst, env.kindval) == (src, dst, kind):
-                    if seen == k:
-                        if tag == "drop" and src not in self.crashed:
-                            raise ScenarioInvalid(
-                                f"drop of live sender's envelope {choice!r}"
-                            )
-                        return self.pending.pop(i)
-                    seen += 1
-            raise ScenarioInvalid(f"no pending envelope for {choice!r}")
-        for i, ev in enumerate(self.pending):
-            if ev[0] == tag and ev[1] == choice[1]:
-                return self.pending.pop(i)
-        raise ScenarioInvalid(f"no pending event for {choice!r}")
+            stream = self._streams.get((src, dst, kind), ())
+            if not (isinstance(k, int) and 0 <= k < len(stream)):
+                raise ScenarioInvalid(f"no pending envelope for {choice!r}")
+            if tag == "drop" and src not in self.crashed:
+                raise ScenarioInvalid(f"drop of live sender's envelope {choice!r}")
+            return self._remove(stream[k])
+        slot = self._slot_of.get((tag, choice[1]))
+        if slot is None:
+            raise ScenarioInvalid(f"no pending event for {choice!r}")
+        return self._remove(slot)
+
+    # -- the pending index ---------------------------------------------------
+
+    def _add(self, ev: tuple) -> None:
+        slot = self._next_slot
+        self._next_slot += 1
+        self.pending[slot] = ev
+        tag, x = ev
+        if tag == "deliver":
+            key = (x.src, x.dst, x.kindval)
+            self._streams[key] = self._streams.get(key, ()) + (slot,)
+            if x.kind is MsgKind.PROPOSAL:
+                self._proposals_to[x.dst] += 1
+                self._set_weight(self._slot_of.get(("timer", x.dst)))
+        else:
+            self._slot_of[ev] = slot
+        if self._tree is not None:
+            if slot < len(self._tree.w) and tag != "crash":
+                self._set_weight(slot)
+            else:
+                self._tree = None   # full, or a gate to add: rebuilt when next read
+
+    def _remove(self, slot: int) -> tuple:
+        ev = self.pending.pop(slot)
+        tag, x = ev
+        if tag == "deliver":
+            key = (x.src, x.dst, x.kindval)
+            stream = self._streams.pop(key)
+            if len(stream) > 1:
+                self._streams[key] = tuple(s for s in stream if s != slot)
+            if x.kind is MsgKind.PROPOSAL:
+                self._proposals_to[x.dst] -= 1
+                self._set_weight(self._slot_of.get(("timer", x.dst)))
+        else:
+            del self._slot_of[ev]
+        if self._tree is not None:
+            self._tree.set(slot, 0)
+        return ev
+
+    def _weight(self, ev: tuple) -> int:
+        """How many seeded choices a pending event stands for."""
+        tag, x = ev
+        if tag == "deliver":
+            return 2 if x.src in self.crashed else 1   # the drop twin
+        if tag == "timer":
+            return 0 if self._proposals_to[x] else 1
+        if tag == "crash":
+            return int(self.event_index >= self.crash_after[x])
+        return 1
+
+    def _set_weight(self, slot: int | None) -> None:
+        if self._tree is not None and slot is not None:
+            self._tree.set(slot, self._weight(self.pending[slot]))
+
+    def _build_tree(self) -> None:
+        weights = [0] * (2 * self._next_slot + 64)   # room for slots to come
+        for slot, ev in self.pending.items():
+            weights[slot] = self._weight(ev)
+        self._tree = _Fenwick(weights)
+        self._gates = sorted(
+            ((self.crash_after[x], slot) for slot, (tag, x) in self.pending.items()
+             if tag == "crash" and not weights[slot]),
+            reverse=True,
+        )
 
     # -- dispatchers ---------------------------------------------------------
 
@@ -729,12 +789,18 @@ class Runner:
     def _dispatch_crash(self, node: NodeId) -> None:
         self.crashed.add(node)
         self._live_cache = None
-        self.pending = [
-            ev
-            for ev in self.pending
-            if not (ev[0] == "deliver" and ev[1].dst == node)
-            and not (ev[0] in ("decision", "timer") and ev[1] == node)
-        ]
+        for ev in (("decision", node), ("timer", node)):
+            if ev in self._slot_of:
+                self._remove(self._slot_of[ev])
+        streams = self._streams
+        for other in range(self.cfg.n):
+            for kind in _KINDS:
+                for slot in streams.get((other, node, kind), ()):
+                    self._remove(slot)
+                if self._tree is not None:
+                    # Its envelopes in flight gain a drop twin.
+                    for slot in streams.get((node, other, kind), ()):
+                        self._set_weight(slot)
         self._trace_event({"ev": "crash", "node": node})
 
     def _trace_event(self, rec: dict) -> None:
@@ -919,7 +985,11 @@ class Runner:
         dup.events = []
         dup.machines = [m.copy() if m is not None else None for m in self.machines]
         dup.crashed = set(self.crashed)
-        dup.pending = list(self.pending)
+        dup.pending = dict(self.pending)
+        dup._streams = dict(self._streams)
+        dup._slot_of = dict(self._slot_of)
+        dup._proposals_to = list(self._proposals_to)
+        dup._tree, dup._gates = None, []
         dup.base = BaseInstance()
         dup.base.proposals = dict(self.base.proposals)
         dup.base.decided = self.base.decided
@@ -942,7 +1012,7 @@ class Runner:
         gates crashes on it), applied, events and decision event indices."""
         inbox: list[list[tuple]] = [[] for _ in self.machines]
         other = []
-        for ev in self.pending:
+        for ev in self.pending.values():
             if ev[0] == "deliver":
                 e = ev[1]
                 inbox[e.dst].append((e.src, e.kindval, e.val, e.proof))
@@ -968,6 +1038,70 @@ class Runner:
             *(tuple(sorted(box, key=stream)) for box in inbox),
             rest,
         )
+
+
+class _Fenwick:
+    """Prefix sums over per-slot weights (Fenwick, SP&E 1994): an update and
+    finding the slot that holds the r-th unit each take O(log n)."""
+
+    def __init__(self, weights: list[int]):
+        self.w = weights
+        self.t = t = [0, *weights]
+        for i in range(1, len(t)):
+            j = i + (i & -i)
+            if j < len(t):
+                t[j] += t[i]
+        self.total = sum(weights)
+
+    def set(self, slot: int, weight: int) -> None:
+        delta = weight - self.w[slot]
+        if delta:
+            self.w[slot] = weight
+            self.total += delta
+            t = self.t
+            i = slot + 1
+            while i < len(t):
+                t[i] += delta
+                i += i & -i
+
+    def find(self, r: int) -> tuple[int, int]:
+        """The slot holding unit r, counted from 0 in slot order, and r's
+        offset within that slot's weight."""
+        t = self.t
+        pos, step = 0, 1 << (len(t) - 1).bit_length()
+        while step:
+            nxt = pos + step
+            if nxt < len(t) and t[nxt] <= r:
+                pos = nxt
+                r -= t[nxt]
+            step >>= 1
+        return pos, r
+
+
+class _SeededChoices(Sequence):
+    """enabled_choices("seeded") read through the index: entry i is the
+    tuple the linear enumeration would list at position i."""
+
+    def __init__(self, rn: Runner):
+        self.rn = rn
+        self.units = rn._tree.total
+        self.picks = rn.base_legal if rn.pick_enabled and not rn.pick_done else ()
+
+    def __len__(self) -> int:
+        return self.units + len(self.picks)
+
+    def __getitem__(self, i: int) -> tuple:
+        if not 0 <= i < len(self):
+            raise IndexError(i)
+        if i >= self.units:
+            return ("pick", self.picks[i - self.units].hex())
+        slot, twin = self.rn._tree.find(i)
+        tag, x = self.rn.pending[slot]
+        if tag != "deliver":
+            return (tag, x)
+        key = (x.src, x.dst, x.kindval)
+        k = self.rn._streams[key].index(slot)
+        return ("drop" if twin else "deliver", *key, k)
 
 
 def run(scenario: Scenario, record_trace: bool = True) -> Trace:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -103,6 +104,24 @@ def test_malformed_documents_are_rejected(mangle):
         parse_scenario(text)
 
 
+@pytest.mark.parametrize(
+    "path, value, match",
+    [
+        (("system", "binary_domain"), "no", "binary_domain must be true or false"),
+        (("nodes", 0, "fault"), {"kind": "crash", "at_evnet": 7}, r"unknown keys \['at_evnet'\]"),
+        (("nodes", 0, "fault"), {}, "unknown fault kind None"),
+        (("schedule",), {"mode": "exhaustive", "max_leaves": -1}, "max_leaves must be"),
+        (("system", "colour"), "blue", r"system: unknown keys \['colour'\]"),
+    ],
+)
+def test_input_the_parser_once_read_quietly_is_rejected(path, value, match):
+    # Each document here parsed without complaint before: as binary_domain
+    # True, CrashAt(0), Correct(), a negative leaf cap, and no colour.
+    base = json.loads(serialize_scenario(golden_set()[0].scenario))
+    with pytest.raises(ScenarioInvalid, match=match):
+        parse_scenario(json.dumps(_set(base, path, value)))
+
+
 def _set(obj, path, value):
     here = obj
     for key in path[:-1]:
@@ -164,6 +183,23 @@ def test_goldens_write_verify_and_corruption(tmp_path):
     victim.unlink()
     statuses = {name: detail for name, _ok, detail in verify_goldens(str(tmp_path))}
     assert statuses["figure1-benign-f1"] == "trace file missing"
+
+
+def test_a_drifted_golden_names_its_first_differing_line(tmp_path):
+    shutil.copytree(REPO_GOLDENS, tmp_path, dirs_exist_ok=True)
+    victim = tmp_path / "figure1-benign-f1.trace.jsonl"
+    lines = victim.read_text().split("\n")
+    edited = lines[4].replace('"val": "76"', '"val": "75"')
+    assert edited != lines[4]
+    victim.write_text("\n".join(lines[:4] + [edited] + lines[5:]))
+    details = {name: (ok, detail) for name, ok, detail in verify_goldens(str(tmp_path))}
+    ok, detail = details["figure1-benign-f1"]
+    assert not ok
+    assert detail.startswith("first divergence at line 5: golden ")
+    golden, fresh = detail.split(" | fresh ")
+    assert '"val": "75"' in golden and '"val": "76"' in fresh
+    assert len(golden) < 120 and len(fresh) < 120   # cut to a window, not the whole line
+    assert sum(not ok for ok, _ in details.values()) == 1
 
 
 def test_goldens_missing_directory(tmp_path):
@@ -323,3 +359,10 @@ def test_cli_operator_errors_exit_one(tmp_path):
     _assert_cli_started(gone)
     assert gone.stderr.startswith("error:"), gone.stderr
     assert "missing.json" in gone.stderr
+    loose = json.loads(serialize_scenario(golden_set()[0].scenario))
+    loose["system"]["binary_domain"] = "no"
+    (tmp_path / "loose.json").write_text(json.dumps(loose))
+    strict = _cli("run", "--scenario", "loose.json", cwd=tmp_path)
+    assert strict.returncode == 1
+    _assert_cli_started(strict)
+    assert strict.stderr.startswith("error: binary_domain must be true or false"), strict.stderr

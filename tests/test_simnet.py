@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from biased_consensus import (
     ArbitraryScript,
@@ -125,6 +127,123 @@ def test_drop_of_live_senders_envelope_is_rejected():
     rn.start_batch()
     with pytest.raises(ScenarioInvalid):
         rn.apply_choice(("drop", 0, 1, "proposal", 0))
+
+
+@pytest.mark.parametrize(
+    "choice",
+    [
+        ("deliver", 0, 1, "proposal", 1),   # one envelope on the stream
+        ("deliver", 0, 1, "proposal", -1),
+        ("deliver", 0, 0, "proposal", 0),
+        ("timer", 0),                       # no timers without a timeout
+        ("decision", 0),                    # nothing picked yet
+    ],
+)
+def test_choices_without_a_pending_event_are_rejected(choice):
+    rn = Runner(_benign3())
+    rn.start_batch()
+    before = dict(rn.pending)
+    with pytest.raises(ScenarioInvalid, match="no pending"):
+        rn.apply_choice(choice)
+    assert rn.pending == before
+
+
+def _reference_seeded_choices(rn: Runner) -> list[tuple]:
+    """The linear enumeration the seeded index replaced: one pass over the
+    whole queue per step, and one more per timer.  The index must list the
+    same tuples in the same order, or seeded runs would change."""
+    pending = list(rn.pending.values())
+    out: list[tuple] = []
+    occ: dict[tuple, int] = {}
+    only_gated_crashes = True
+    for tag, x in pending:
+        if tag == "deliver":
+            key = (x.src, x.dst, x.kind.value)
+            k = occ.get(key, 0)
+            occ[key] = k + 1
+            out.append(("deliver", *key, k))
+            if x.src in rn.crashed:
+                out.append(("drop", *key, k))
+            only_gated_crashes = False
+        elif tag == "decision":
+            out.append((tag, x))
+            only_gated_crashes = False
+        elif tag == "timer":
+            if not any(
+                t == "deliver" and e.dst == x and e.kind is MsgKind.PROPOSAL
+                for t, e in pending
+            ):
+                out.append((tag, x))
+                only_gated_crashes = False
+        elif rn.event_index >= rn.crash_after.get(x, 0):
+            out.append((tag, x))
+            only_gated_crashes = False
+    if rn.pick_enabled and not rn.pick_done:
+        out.extend(("pick", v.hex()) for v in rn.base_legal)
+        only_gated_crashes = False
+    if only_gated_crashes:
+        out.extend(ev for ev in pending if ev[0] == "crash")
+    return out
+
+
+@st.composite
+def _seeded_systems(draw):
+    n = draw(st.integers(3, 12))
+    model = draw(st.sampled_from(list(FailureModel)))
+    timeout = model is FailureModel.BYZANTINE_CLASSICAL and draw(st.booleans())
+    aware = model is FailureModel.BYZANTINE_EXTERNAL and draw(st.booleans())
+    divisor = {
+        FailureModel.BENIGN: 2,
+        FailureModel.BYZANTINE_CLASSICAL: 3 if timeout else 4,
+        FailureModel.BYZANTINE_EXTERNAL: 3,
+    }[model]
+    f = (n - 1) // divisor
+    vals = draw(st.lists(st.sampled_from((V, U)), min_size=n, max_size=n))
+    kinds = [] if timeout else ["crash"]
+    if model is not FailureModel.BENIGN:
+        kinds += ["silent", "equivocate"]
+    faults = [Correct()] * n
+    for node in draw(st.sets(st.integers(0, n - 1), max_size=f)):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "crash":
+            faults[node] = CrashAt(draw(st.integers(0, 4 * n)))
+        elif kind == "silent":
+            faults[node] = Byzantine(Silent())
+        else:
+            targets = draw(st.frozensets(st.integers(0, n - 1)))
+            faults[node] = Byzantine(Equivocate(V, U, targets))
+    proof = (lambda v: b"p" + v) if aware else (lambda v: b"")
+    cfg = OptimizerConfig(
+        n, f, FullValue(V, proof(V)), model,
+        variant=Variant.PROOF_AWARE if aware else Variant.PROOF_OBLIVIOUS,
+        sync_timeout=1.0 if timeout else None,
+    )
+    validity = {}
+    if model is FailureModel.BYZANTINE_EXTERNAL:
+        validity = draw(st.sampled_from(({}, {U: False}, {V: False})))
+    return Scenario(
+        cfg=cfg,
+        initial_values=tuple(FullValue(v, proof(v)) for v in vals),
+        faults=tuple(faults),
+        schedule=Seeded(0),
+        validity=validity,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_seeded_systems(), st.integers(0, 2**32), st.integers(0, 200))
+def test_the_seeded_index_lists_the_linear_enumeration(sc, seed, clone_at):
+    rn = Runner(sc, record_trace=False)
+    rn.start_batch()
+    rng = random.Random(seed)
+    while True:
+        if rn.event_index == clone_at:
+            rn = rn.clone()   # drops the index, which the next call rebuilds
+        view = rn.enabled_choices("seeded")
+        assert [view[i] for i in range(len(view))] == _reference_seeded_choices(rn)
+        if not view:
+            break
+        rn.apply_choice(view[rng.randrange(len(view))])
 
 
 def test_script_with_impossible_step_deadlocks():
@@ -454,6 +573,10 @@ _RUNNER_NOT_STATE = {
     "counters", "seq", "event_index", "applied", "events",
     # Set once by start_batch; a cache of correct_live(faults, crashed).
     "_started", "_live_cache",
+    # Indexes derived from pending (and the slot counter behind its keys),
+    # and the sizes the legal set was last computed for.
+    "_next_slot", "_streams", "_slot_of", "_proposals_to", "_tree", "_gates",
+    "_legal_sizes",
 }
 _MACHINE_NOT_STATE = {
     # Fixed at construction, or (started) set once by start().
