@@ -65,6 +65,7 @@ from .proof_aware import ProofAwareNode
 
 DEFAULT_EVENT_BUDGET = 1_000_000
 _KINDS = tuple(k.value for k in MsgKind)
+_PROPOSAL = MsgKind.PROPOSAL.value
 
 
 def event_budget() -> int:
@@ -344,12 +345,12 @@ class Runner:
         )
 
         # Pending events by slot, in the order choices list them, and indexes
-        # derived from them: each stream's slots in seq order, the slot of each
-        # crash, timer and decision, and pending proposals by destination.
+        # derived from them: the slots of each stream in seq order, keyed by
+        # (src, dst, kind) for envelopes and by the event itself for a crash,
+        # timer or decision; and pending proposals by destination.
         self.pending: dict[int, tuple] = {}
         self._next_slot = 0
-        self._streams: dict[tuple, tuple[int, ...]] = {}
-        self._slot_of: dict[tuple, int] = {}
+        self._slots: dict[tuple, tuple[int, ...]] = {}
         self._proposals_to = [0] * n
         # Seeded runs add each slot's choice count, and the gated crashes'
         # (crash_after, slot), latest first.
@@ -669,16 +670,15 @@ class Runner:
         tag = choice[0]
         if tag in ("deliver", "drop"):
             _, src, dst, kind, k = choice
-            stream = self._streams.get((src, dst, kind), ())
+            stream = self._slots.get((src, dst, kind), ())
             if not (isinstance(k, int) and 0 <= k < len(stream)):
                 raise ScenarioInvalid(f"no pending envelope for {choice!r}")
             if tag == "drop" and src not in self.crashed:
                 raise ScenarioInvalid(f"drop of live sender's envelope {choice!r}")
             return self._remove(stream[k])
-        slot = self._slot_of.get((tag, choice[1]))
-        if slot is None:
+        if (tag, choice[1]) not in self._slots:
             raise ScenarioInvalid(f"no pending event for {choice!r}")
-        return self._remove(slot)
+        return self._remove(self._slots[tag, choice[1]][0])
 
     # -- the pending index ---------------------------------------------------
 
@@ -687,14 +687,10 @@ class Runner:
         self._next_slot += 1
         self.pending[slot] = ev
         tag, x = ev
-        if tag == "deliver":
-            key = (x.src, x.dst, x.kindval)
-            self._streams[key] = self._streams.get(key, ()) + (slot,)
-            if x.kind is MsgKind.PROPOSAL:
-                self._proposals_to[x.dst] += 1
-                self._set_weight(self._slot_of.get(("timer", x.dst)))
-        else:
-            self._slot_of[ev] = slot
+        key = (x.src, x.dst, x.kindval) if tag == "deliver" else ev
+        self._slots[key] = self._slots.get(key, ()) + (slot,)
+        if tag == "deliver" and x.kindval == _PROPOSAL:
+            self._count_proposal(x.dst, 1)
         if self._tree is not None:
             if slot < len(self._tree.w) and tag != "crash":
                 self._set_weight(slot)
@@ -704,19 +700,21 @@ class Runner:
     def _remove(self, slot: int) -> tuple:
         ev = self.pending.pop(slot)
         tag, x = ev
-        if tag == "deliver":
-            key = (x.src, x.dst, x.kindval)
-            stream = self._streams.pop(key)
-            if len(stream) > 1:
-                self._streams[key] = tuple(s for s in stream if s != slot)
-            if x.kind is MsgKind.PROPOSAL:
-                self._proposals_to[x.dst] -= 1
-                self._set_weight(self._slot_of.get(("timer", x.dst)))
-        else:
-            del self._slot_of[ev]
+        key = (x.src, x.dst, x.kindval) if tag == "deliver" else ev
+        stream = self._slots.pop(key)
+        if len(stream) > 1:
+            self._slots[key] = tuple(s for s in stream if s != slot)
+        if tag == "deliver" and x.kindval == _PROPOSAL:
+            self._count_proposal(x.dst, -1)
         if self._tree is not None:
             self._tree.set(slot, 0)
         return ev
+
+    def _count_proposal(self, dst: NodeId, delta: int) -> None:
+        self._proposals_to[dst] += delta
+        if self._tree is not None:
+            for timer in self._slots.get(("timer", dst), ()):
+                self._set_weight(timer)
 
     def _weight(self, ev: tuple) -> int:
         """How many seeded choices a pending event stands for."""
@@ -729,8 +727,8 @@ class Runner:
             return int(self.event_index >= self.crash_after[x])
         return 1
 
-    def _set_weight(self, slot: int | None) -> None:
-        if self._tree is not None and slot is not None:
+    def _set_weight(self, slot: int) -> None:
+        if self._tree is not None:
             self._tree.set(slot, self._weight(self.pending[slot]))
 
     def _build_tree(self) -> None:
@@ -789,17 +787,17 @@ class Runner:
     def _dispatch_crash(self, node: NodeId) -> None:
         self.crashed.add(node)
         self._live_cache = None
+        slots = self._slots
         for ev in (("decision", node), ("timer", node)):
-            if ev in self._slot_of:
-                self._remove(self._slot_of[ev])
-        streams = self._streams
+            for slot in slots.get(ev, ()):
+                self._remove(slot)
         for other in range(self.cfg.n):
             for kind in _KINDS:
-                for slot in streams.get((other, node, kind), ()):
+                for slot in slots.get((other, node, kind), ()):
                     self._remove(slot)
                 if self._tree is not None:
                     # Its envelopes in flight gain a drop twin.
-                    for slot in streams.get((node, other, kind), ()):
+                    for slot in slots.get((node, other, kind), ()):
                         self._set_weight(slot)
         self._trace_event({"ev": "crash", "node": node})
 
@@ -986,8 +984,7 @@ class Runner:
         dup.machines = [m.copy() if m is not None else None for m in self.machines]
         dup.crashed = set(self.crashed)
         dup.pending = dict(self.pending)
-        dup._streams = dict(self._streams)
-        dup._slot_of = dict(self._slot_of)
+        dup._slots = dict(self._slots)
         dup._proposals_to = list(self._proposals_to)
         dup._tree, dup._gates = None, []
         dup.base = BaseInstance()
@@ -1100,7 +1097,7 @@ class _SeededChoices(Sequence):
         if tag != "deliver":
             return (tag, x)
         key = (x.src, x.dst, x.kindval)
-        k = self.rn._streams[key].index(slot)
+        k = self.rn._slots[key].index(slot)
         return ("drop" if twin else "deliver", *key, k)
 
 

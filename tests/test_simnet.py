@@ -575,7 +575,7 @@ _RUNNER_NOT_STATE = {
     "_started", "_live_cache",
     # Indexes derived from pending (and the slot counter behind its keys),
     # and the sizes the legal set was last computed for.
-    "_next_slot", "_streams", "_slot_of", "_proposals_to", "_tree", "_gates",
+    "_next_slot", "_slots", "_proposals_to", "_tree", "_gates",
     "_legal_sizes",
 }
 _MACHINE_NOT_STATE = {
