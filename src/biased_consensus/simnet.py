@@ -676,9 +676,10 @@ class Runner:
             if tag == "drop" and src not in self.crashed:
                 raise ScenarioInvalid(f"drop of live sender's envelope {choice!r}")
             return self._remove(stream[k])
-        if (tag, choice[1]) not in self._slots:
+        stream = self._slots.get((tag, choice[1]))
+        if stream is None:
             raise ScenarioInvalid(f"no pending event for {choice!r}")
-        return self._remove(self._slots[tag, choice[1]][0])
+        return self._remove(stream[0])
 
     # -- the pending index ---------------------------------------------------
 
@@ -1044,9 +1045,10 @@ class _Fenwick:
     def __init__(self, weights: list[int]):
         self.w = weights
         self.t = t = [0, *weights]
-        for i in range(1, len(t)):
+        size = len(t)
+        for i in range(1, size):
             j = i + (i & -i)
-            if j < len(t):
+            if j < size:
                 t[j] += t[i]
         self.total = sum(weights)
 
@@ -1055,20 +1057,20 @@ class _Fenwick:
         if delta:
             self.w[slot] = weight
             self.total += delta
-            t = self.t
+            t, size = self.t, len(self.t)
             i = slot + 1
-            while i < len(t):
+            while i < size:
                 t[i] += delta
                 i += i & -i
 
     def find(self, r: int) -> tuple[int, int]:
         """The slot holding unit r, counted from 0 in slot order, and r's
         offset within that slot's weight."""
-        t = self.t
-        pos, step = 0, 1 << (len(t) - 1).bit_length()
+        t, size = self.t, len(self.t)
+        pos, step = 0, 1 << (size - 1).bit_length()
         while step:
             nxt = pos + step
-            if nxt < len(t) and t[nxt] <= r:
+            if nxt < size and t[nxt] <= r:
                 pos = nxt
                 r -= t[nxt]
             step >>= 1
@@ -1076,8 +1078,8 @@ class _Fenwick:
 
 
 class _SeededChoices(Sequence):
-    """enabled_choices("seeded") read through the index: entry i is the
-    tuple the linear enumeration would list at position i."""
+    """The seeded choice list read through the index: entry i is the i-th
+    choice in queue order, found in O(log n) without listing the others."""
 
     def __init__(self, rn: Runner):
         self.rn = rn
@@ -1088,7 +1090,7 @@ class _SeededChoices(Sequence):
         return self.units + len(self.picks)
 
     def __getitem__(self, i: int) -> tuple:
-        if not 0 <= i < len(self):
+        if not 0 <= i < self.units + len(self.picks):
             raise IndexError(i)
         if i >= self.units:
             return ("pick", self.picks[i - self.units].hex())
