@@ -1,11 +1,14 @@
 """Exhaustive interleaving search over a scenario's schedulable choices.
 
 A depth-first walk of the choice tree (delivery orders, in-flight drops from
-crashed senders, crash placements, base-outcome picks) with sleep-set pruning:
-after exploring choice c from a state, sibling subtrees skip re-exploring
-orders that only commute c with an independent choice.  Independence is
-conditional on the current state — two deliveries to the same recipient
-commute unless one of them is the recipient's threshold trigger.
+crashed senders, crash placements, base-outcome picks), reduced as in
+Godefroid, Partial-Order Methods, LNCS 1032, 1996.  A delivery that changes
+nothing is consumed alone; otherwise a new state branches only on one
+persistent set, the choices of the fewest nodes that nothing outside them
+can conflict with (_persistent).  Sleep sets then skip orders that only
+commute a choice with an independent sibling; independence is conditional
+on the current state (two deliveries to one recipient commute unless one
+of them is its threshold trigger).
 
 The walk is stateful: each visited state is cached under an exact key
 (Runner.state_key) with the sleep set it was explored with; a state reached
@@ -13,8 +16,7 @@ again is skipped unless its stored sleep set holds a choice the new one does
 not.  So leaves and the outcome multiplicities count visited leaf states,
 not interleavings.
 
-The pruning is validated empirically elsewhere by comparing the reachable
-outcome set against an unpruned walk on small systems.
+The reductions are checked against the unpruned walk on generated systems.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cache
 
 from .core import MsgKind, Variant
 from .optimizer import Phase
@@ -151,20 +154,16 @@ def _dfs(
             # A delivery that provably commutes with every present and
             # future choice can be consumed alone instead of branching
             # (and its drop twin, if any, would be equally inert).
-            if c[0] == "deliver" and (
-                _deliver_noop(c, rn) or _singleton_ample(c, rn)
-            ):
+            if c[0] == "deliver" and _deliver_noop(c, rn):
                 if report.events >= events_cap:
                     raise _Budget
                 rn.apply_choice(c)
                 report.events += 1
                 _dfs(rn, sleep, report, leaves_cap, events_cap, cache)
                 return
-        cluster = _ample_cluster(enabled, rn)
-        if cluster is not None:
-            frontier = [c for c in cluster if c not in sleep]
-            if not frontier:
-                return
+        frontier = [c for c in _persistent(enabled, rn) if c not in sleep]
+        if not frontier:
+            return
     else:
         frontier = enabled
     done: list[tuple] = []
@@ -280,82 +279,83 @@ def _deliver_noop(c: tuple, rn: Runner) -> bool:
     )
 
 
-def _singleton_ample(c: tuple, rn: Runner) -> bool:
-    """True when delivering c now loses no schedules.
+def _persistent(enabled: list[tuple], rn: Runner) -> list[tuple]:
+    """A persistent subset of the enabled choices (Godefroid, LNCS 1032,
+    ch. 4; Valmari's stubborn sets): no run of choices outside it conflicts
+    with a choice in it, so branching on it alone loses no leaf.
 
-    Holds for a first-round vote whose receiver still needs every pending
-    vote to reach its threshold: the eventual quorum is then the same set
-    under any order, so c commutes with each present choice, and nothing
-    dependent on c (a later vote, the receiver's crash or timer, traffic
-    spawned by the receiver's own decision) can occur before c does.  Votes
-    are only ever sent at the start, which is what makes "every pending"
-    equal to "every future" — except under the proof-carrying variant,
-    where later full-value broadcasts also target this receiver, so that
-    variant is excluded wholesale.
+    Each choice belongs to the node it touches: a delivery or drop to its
+    receiver, a crash, timer or decision to its node, a pick to the base.
+    From one node, the set of nodes is closed under the conflicts that cross
+    nodes; the rest is one machine's own business:
+    - a sender with a pending crash joins its receiver: the crash enables
+      the drop twin, which disables the delivery;
+    - a crashing node that has proposed brings in the base until the pick
+      is done: the crash can change the legal set;
+    - the base brings in every crashing node while picks are enabled, and
+      otherwise one live correct node that has not proposed: no pick is
+      enabled before that node's own choices make it propose or crash;
+    - proof-aware only, a node joins a member it may still send a full
+      value the member would not ignore: one still collecting, which may
+      broadcast, or one holding the member's full value unanswered;
+    - votes go out only at start, so any other envelope a node outside the
+      set can send a member is a base wakeup, which conflicts only with the
+      member's crash: a set holding the crash of a node that fast-decided,
+      has not joined and was never observed is dropped.
+    Decisions exist only after the pick, and a timer only waits on its own
+    node's inbox.  The smallest closed set over all starts wins; with none,
+    every choice.
+
+    The cache needs no cycle proviso, because the state graph is acyclic:
+    each choice consumes a pending event or the one pick, and creates events
+    only as a machine or the base moves forward (phases, books, replied_to).
+    The exception, a dropped wakeup re-sent, comes from a different, live
+    source, which must crash, consuming a pending crash, before it drops.
+    Deliveries to different receivers commute at the level of outcomes, as
+    _independent assumes too: they touch different machines and streams,
+    and share only which live proposer sources a later wakeup, which
+    matters only if that source crashes, and then a live one re-sends it.
     """
-    _, src, dst, kind, _ = c
-    if kind != _PROPOSAL or rn.cfg.variant is Variant.PROOF_AWARE:
-        return False
-    if src in rn.crashed:
-        return False   # the choice has a drop twin: a real branch
-    m = rn.machines[dst]
-    if m.phase is not Phase.COLLECTING or rn.cfg.sync_timeout is not None:
-        return False
-    if src in m.votes:
-        return False   # duplicate: the no-op rule covers it
-    new_senders = set()
-    for ev in rn.pending.values():
-        if ev[0] in ("crash", "timer") and ev[1] in (src, dst):
-            return False
-        if ev[0] != "deliver":
-            continue
-        e = ev[1]
-        if e.dst != dst:
-            continue
-        if e.kindval != _PROPOSAL:
-            return False
-        if e.src == src and e.src in new_senders:
-            return False   # two envelopes on one stream: order is first-wins
-        if e.src not in m.votes:
-            new_senders.add(e.src)
-    return len(new_senders) <= rn.cfg.threshold - len(m.votes)
+    base = -1
+    owners = [c[2] if c[0] in ("deliver", "drop") else base if c[0] == "pick" else c[1]
+              for c in enabled]
+    sizes = Counter(owners)
+    crashing = {c[1] for c in enabled if c[0] == "crash"}
+    streams = {c[1:4] for c in enabled if c[0] == "deliver"}
+    machines, proposed = rn.machines, rn.base.proposals
+    unwoken = {x for x in crashing if machines[x].phase is Phase.FAST_DECIDED
+               and not machines[x].joined_base and x not in rn.observed}
 
+    @cache
+    def needs(x: int) -> set[int]:
+        if x == base:
+            if rn.pick_enabled:
+                return crashing
+            return set([p for p in rn._correct_live() if p not in proposed][:1])
+        out = {c[1] for c, o in zip(enabled, owners)
+               if o == x and c[0] == "deliver" and c[1] in crashing}
+        if x in crashing and x in proposed and not rn.pick_done:
+            out.add(base)
+        for y, m in enumerate(machines if rn.cfg.variant is Variant.PROOF_AWARE else ()):
+            # y may yet send x a full value by broadcasting or by answering x.
+            sends = m is not None and y != x and y not in rn.crashed and (
+                m.phase is Phase.COLLECTING or (x, y, _FULL) in streams
+                and not m.broadcast_full and x not in m.replied_to)
+            if sends and not _deliver_noop(("deliver", y, x, _FULL, 0), rn):
+                out.add(y)
+        return out
 
-def _ample_cluster(enabled: list[tuple], rn: Runner) -> list[tuple] | None:
-    """A persistent subset of the enabled choices: all deliveries (and drop
-    twins) aimed at one still-collecting receiver.
-
-    Branching over just this cluster is sufficient when nothing outside it
-    can ever conflict with a member: votes are only sent at the start, so
-    the receiver's future inbox is its current inbox; decisions and picks
-    commute with deliveries; crashes are ruled out for the receiver and all
-    senders involved.  Everything not in the cluster is explored after it,
-    which costs nothing because it all commutes.  Smallest cluster wins —
-    fewer branches up front shrink the tree the most.
-    """
-    if rn.cfg.variant is Variant.PROOF_AWARE or rn.cfg.sync_timeout is not None:
-        return None
-    crashy: set[int] = set()
-    by_dst: dict[int, list[tuple]] = {}
-    ok_dst: set[int] = set()
-    for c in enabled:
-        t = c[0]
-        if t in ("crash", "timer"):
-            crashy.add(c[1])
-        elif t in ("deliver", "drop"):
-            by_dst.setdefault(c[2], []).append(c)
-    for dst, members in by_dst.items():
-        if rn.machines[dst].phase is not Phase.COLLECTING:
-            continue
-        if any(c[3] != _PROPOSAL for c in members):
-            continue
-        if dst in crashy or any(c[1] in crashy for c in members):
-            continue
-        ok_dst.add(dst)
-    if not ok_dst:
-        return None
-    best = min(ok_dst, key=lambda d: (len(by_dst[d]), d))
-    return by_dst[best]
+    best, chosen = len(enabled), None
+    for start in sizes:
+        closed, todo = {start}, [start]
+        while todo:
+            more = needs(todo.pop()) - closed
+            closed |= more
+            todo.extend(more)
+        size = sum(sizes[x] for x in closed)
+        if size < best and not closed & unwoken:
+            best, chosen = size, closed
+    return enabled if chosen is None else [c for c, o in zip(enabled, owners) if o in chosen]
 
 
 def _delivers_commute(a: tuple, b: tuple, rn: Runner) -> bool:

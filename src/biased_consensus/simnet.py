@@ -248,6 +248,10 @@ def validate_scenario(sc: Scenario) -> Scenario:
             raise ScenarioInvalid("exhaustive exploration requires the oracle base")
         if sc.base == "eig" and not cfg.binary_domain:
             raise ScenarioInvalid("eig base requires binary_domain")
+        if sc.base == "phase_king" and cfg.n <= 4 * cfg.f:
+            raise ScenarioInvalid(
+                f"phase_king base needs n > 4f, got n={cfg.n} f={cfg.f}"
+            )
     return sc
 
 

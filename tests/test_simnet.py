@@ -658,3 +658,21 @@ def test_a_collecting_vote_book_is_state_and_a_settled_one_is_not():
     for x in (a, b):
         x.machines[0].phase = Phase.IN_BASE
     assert a.state_key() == b.state_key()
+
+
+def test_a_phase_king_base_needs_n_above_4f():
+    # The timeout variant and the straw man allow f < n/3, which the phase
+    # king protocol does not survive: the scenario is refused up front.
+    for n, f, extra in ((16, 5, {"sync_timeout": 1.0}), (4, 1, {"straw_man": True})):
+        cfg = OptimizerConfig(
+            n, f, FullValue(V), FailureModel.BYZANTINE_CLASSICAL, **extra
+        )
+        sc = Scenario(
+            cfg=cfg,
+            initial_values=(FullValue(V),) * n,
+            faults=(Correct(),) * n,
+            schedule=Seeded(0),
+            base="phase_king",
+        )
+        with pytest.raises(ScenarioInvalid, match=f"n > 4f, got n={n} f={f}"):
+            validate_scenario(sc)
