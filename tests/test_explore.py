@@ -208,6 +208,30 @@ def test_the_reduction_orders_a_crash_after_the_base_decision():
     }
 
 
+def test_the_reduction_waits_for_full_values_still_to_come():
+    # Every node runs a proof-aware machine, node 0 mimicking one with u.
+    # Reaching all-u needs the proof-aware rule: a node still collecting may
+    # yet broadcast a full value a member would not ignore, so it joins that
+    # member's set.  The search takes about 100k events.
+    sc = Scenario(
+        cfg=OptimizerConfig(
+            4,
+            1,
+            FullValue(V, b"pv"),
+            FailureModel.BYZANTINE_EXTERNAL,
+            variant=Variant.PROOF_AWARE,
+        ),
+        initial_values=tuple(FullValue(x, b"p" + x) for x in (V, V, U, U)),
+        faults=(Byzantine(MimicHonest(FullValue(U, b"pu"))),) + (Correct(),) * 3,
+        schedule=Exhaustive(),
+    )
+    report = explore(sc)
+    assert not report.budget_exceeded
+    assert set(report.outcomes) == {
+        (tuple((node, x.hex(), "base") for node in (1, 2, 3)), ()) for x in (U, V)
+    }
+
+
 def _acyclic_states(sc):
     """Walk every reachable state once; no state key may recur on the path
     that reached it.  Returns the number of states."""
