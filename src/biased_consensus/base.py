@@ -15,6 +15,7 @@ protocol for the binary external model (n > 3f).
 from __future__ import annotations
 
 import enum
+from itertools import repeat
 from typing import Callable, Iterable, Mapping
 
 from .core import (
@@ -261,9 +262,9 @@ def run_eig(
 ) -> tuple[dict[NodeId, bytes], SyncMessages]:
     """EIG-style Byzantine agreement over a binary domain; needs n > 3f.
 
-    f + 1 relay rounds build per-node information trees (labels are tuples of
-    distinct ids); decisions resolve the tree bottom-up by strict majority
-    with a fixed default.
+    f + 1 relay rounds fill per-node information trees (labels are tuples of
+    distinct ids), each node keeping only the level it relays next; decisions
+    fold the leaves level by level by strict majority with a fixed default.
     """
     byz = dict(byz or {})
     if 3 * f >= n:
@@ -273,67 +274,50 @@ def run_eig(
     correct = sorted(p for p in proposals if p not in byz)
     if default is None:
         default = min(sorted({proposals[p] for p in correct}))
-    trees: dict[NodeId, dict[tuple, bytes]] = {p: {(): proposals[p]} for p in correct}
+    # labels[L] lists every level-L label; the n - L children of labels[L][i]
+    # are the run of labels[L + 1] that starts at i * (n - L).
+    labels: list[list[tuple]] = [[()]]
+    for _ in range(f + 1):
+        labels.append([lb + (q,) for lb in labels[-1] for q in range(n) if q not in lb])
+    held: dict[NodeId, dict[tuple, bytes]] = {p: {(): proposals[p]} for p in correct}
     messages: SyncMessages = []
     for rnd in range(1, f + 2):
         level = rnd - 1
-        outgoing: dict[NodeId, dict[tuple, bytes]] = {}
+        received: dict[NodeId, dict[tuple, bytes]] = {p: {} for p in correct}
         for src in range(n):
-            if src in correct:
-                outgoing[src] = {
-                    label: v
-                    for label, v in trees[src].items()
-                    if len(label) == level and src not in label
-                }
+            if src in held:
+                relayed = {lb + (src,): v for lb, v in held[src].items() if src not in lb}
+                nbytes = _payload_size(relayed)   # the values, whatever the labels
+                for dst in correct:
+                    if dst != src:
+                        messages.append((rnd, src, dst, nbytes))
+                        received[dst].update(relayed)
             elif src in byz:
                 # Byzantine relays fabricate entries for every label a correct
                 # node in their position would relay.
-                sample = {
-                    label: default
-                    for label in _eig_labels(n, level)
-                    if src not in label
-                }
-                outgoing[src] = sample
-        for src in sorted(outgoing):
-            for dst in correct:
-                if dst == src:
-                    continue
-                payload: object = outgoing[src]
-                if src in byz:
-                    payload = byz[src](rnd, src, dst, dict(outgoing[src]))
-                if payload is None:
-                    continue
-                if not isinstance(payload, dict):
-                    raise TypeError("EIG round payload must be a label->value dict")
-                messages.append((rnd, src, dst, _payload_size(payload)))
-                for label, v in payload.items():
-                    if len(label) == level and src not in label:
-                        trees[dst][label + (src,)] = v
-    def resolve(tree: dict[tuple, bytes], label: tuple) -> bytes:
-        if len(label) == f + 1:
-            return tree.get(label, default)
-        child_vals = [
-            resolve(tree, label + (q,)) for q in range(n) if q not in label
-        ]
-        counts: dict[bytes, int] = {}
-        for v in child_vals:
-            counts[v] = counts.get(v, 0) + 1
-        best = min(sorted(counts), key=lambda v: (-counts[v], v))
-        if counts[best] * 2 > len(child_vals):
-            return best
-        return default
+                sample = {lb: default for lb in labels[level] if src not in lb}
+                for dst in correct:
+                    payload = byz[src](rnd, src, dst, dict(sample))
+                    if payload is None:
+                        continue
+                    if not isinstance(payload, dict):
+                        raise TypeError("EIG round payload must be a label->value dict")
+                    messages.append((rnd, src, dst, _payload_size(payload)))
+                    received[dst].update(
+                        (lb + (src,), v)
+                        for lb, v in payload.items()
+                        if len(lb) == level and src not in lb
+                    )
+        held = received
 
-    decisions = {p: resolve(trees[p], ()) for p in correct}
+    decisions = {}
+    for p in correct:
+        vals = list(map(held[p].get, labels[f + 1], repeat(default)))
+        for k in range(n - f, n + 1):   # a level-L label has n - L children
+            folded = []
+            for chunk in map(sorted, zip(*[iter(vals)] * k)):   # runs of k siblings
+                mid = chunk[k // 2]   # a strict majority, if any, covers the middle
+                folded.append(mid if 2 * chunk.count(mid) > k else default)
+            vals = folded
+        decisions[p] = vals[0]
     return decisions, messages
-
-
-def _eig_labels(n: int, length: int) -> list[tuple]:
-    if length == 0:
-        return [()]
-    shorter = _eig_labels(n, length - 1)
-    out = []
-    for label in shorter:
-        for q in range(n):
-            if q not in label:
-                out.append(label + (q,))
-    return out

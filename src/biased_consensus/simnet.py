@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import os
 import json
+import math
 import random
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -248,11 +250,38 @@ def validate_scenario(sc: Scenario) -> Scenario:
             raise ScenarioInvalid("exhaustive exploration requires the oracle base")
         if sc.base == "eig" and not cfg.binary_domain:
             raise ScenarioInvalid("eig base requires binary_domain")
+        leaves = math.perm(cfg.n, cfg.f + 1)   # EIG's relay tree: n(n-1)...(n-f)
+        if sc.base == "eig" and leaves > event_budget():
+            raise ScenarioInvalid(
+                f"eig base at n={cfg.n} f={cfg.f} builds {leaves} relay-tree "
+                f"leaves, past the event budget {event_budget()}"
+            )
         if sc.base == "phase_king" and cfg.n <= 4 * cfg.f:
             raise ScenarioInvalid(
                 f"phase_king base needs n > 4f, got n={cfg.n} f={cfg.f}"
             )
+    if isinstance(sc.schedule, Scripted):
+        _check_steps(sc.schedule.steps, cfg.n)
     return sc
+
+
+def _check_steps(steps: Sequence, n: int) -> None:
+    """Refuse a step no run could list: an unknown tag or arity, a node id
+    outside 0..n-1, a kind no MsgKind has, a k below 0, a pick not in hex."""
+    node = lambda x: type(x) is int and 0 <= x < n
+    for i, step in enumerate(steps):
+        ok = isinstance(step, (tuple, list)) and len(step) > 0
+        tag, args = (step[0], step[1:]) if ok else (None, ())
+        if tag in ("deliver", "drop"):
+            ok = len(args) in (3, 4) and node(args[0]) and node(args[1]) and args[2] in _KINDS
+            ok = ok and all(type(k) is int and k >= 0 for k in args[3:])
+        elif tag in ("crash", "decision", "timer"):
+            ok = len(args) == 1 and node(args[0])
+        else:
+            ok = tag == "pick" and len(args) == 1 and isinstance(args[0], str)
+            ok = ok and re.fullmatch("(?:[0-9a-f]{2})*", args[0]) is not None
+        if not ok:
+            raise ScenarioInvalid(f"malformed script step {i}: {step!r}")
 
 
 # --- envelopes, events, traces ----------------------------------------------
@@ -833,37 +862,45 @@ class Runner:
             self._check_budget()
             self.apply_choice(choices[rng.randrange(len(choices))])
 
-    def _run_scripted(self, script: list[tuple]) -> None:
+    def _run_scripted(self, steps: list[tuple]) -> None:
+        script = steps[::-1]   # the next step last, so consuming one is a pop
         while True:
+            if script and self._enabled(_normalize_step(script[-1])):
+                self._check_budget()
+                self.apply_choice(_normalize_step(script.pop()))
+                continue
             choices = self.enabled_choices("scripted")
             if not choices:
                 if script:
                     raise ScenarioInvalid(
                         f"script has {len(script)} unconsumed steps, "
-                        f"first {script[0]!r}"
+                        f"first {script[-1]!r}"
                     )
                 break
             self._check_budget()
+            free = [c for c in choices if not self._fifo_skipped(c)]
             if script:
-                head = _normalize_step(script[0])
-                if head in choices:
-                    script.pop(0)
-                    self.apply_choice(head)
-                    continue
-                free = [
-                    c
-                    for c in choices
-                    if not self._fifo_skipped(c)
-                    and not any(_same_key(c, _normalize_step(s)) for s in script)
-                ]
+                keys = {_stream_key(s) for s in script}
+                free = [c for c in free if _stream_key(c) not in keys]
                 if not free:
                     raise ScenarioInvalid(
-                        f"script deadlock: step {script[0]!r} never enabled"
+                        f"script deadlock: step {script[-1]!r} never enabled"
                     )
-                self.apply_choice(free[0])
-                continue
-            free = [c for c in choices if not self._fifo_skipped(c)]
             self.apply_choice(free[0] if free else choices[0])
+
+    def _enabled(self, step: tuple) -> bool:
+        """Whether step is in enabled_choices("scripted"), read off the index."""
+        tag = step[0]
+        if tag in ("deliver", "drop"):
+            stream = self._slots.get(step[1:4], ()) if len(step) == 5 else ()
+            live = tag == "deliver" or step[1] in self.crashed
+            return live and step[-1] in range(len(stream))
+        if len(step) != 2:
+            return False
+        if tag == "pick":
+            legal = self.base_legal if self.pick_enabled and not self.pick_done else ()
+            return step[1] in [v.hex() for v in legal]
+        return step in self._slots and not (tag == "timer" and self._proposals_to[step[1]])
 
     def _fifo_skipped(self, choice: tuple) -> bool:
         """Steps the FIFO tail never takes on its own: message loss, and
@@ -1124,9 +1161,8 @@ def _normalize_step(step) -> tuple:
     return step
 
 
-def _same_key(choice: tuple, step: tuple) -> bool:
-    if choice[0] in ("deliver", "drop") and step[0] in ("deliver", "drop"):
-        return choice[1:4] == step[1:4]
-    if choice[0] == "pick" and step[0] == "pick":
-        return True
-    return choice[0] == step[0] and choice[1:] == step[1:]
+def _stream_key(step: tuple) -> tuple:
+    """What a script step reserves: its envelope stream, any pick, or itself."""
+    if step[0] in ("deliver", "drop"):
+        return ("deliver", *step[1:4])
+    return step[:1] if step[0] == "pick" else step

@@ -257,6 +257,99 @@ def test_eig_agreement_and_legality_sweep():
             assert got.pop() in legal
 
 
+def _reference_eig(n, f, proposals, byz=None, default=None):
+    """run_eig as first written: whole per-node trees, every level scanned
+    out of the tree on each round, and a recursive resolve."""
+
+    def labels_of(length):
+        if length == 0:
+            return [()]
+        return [lb + (q,) for lb in labels_of(length - 1) for q in range(n) if q not in lb]
+
+    byz = dict(byz or {})
+    correct = sorted(p for p in proposals if p not in byz)
+    if default is None:
+        default = min(sorted({proposals[p] for p in correct}))
+    trees = {p: {(): proposals[p]} for p in correct}
+    messages = []
+    for rnd in range(1, f + 2):
+        level = rnd - 1
+        outgoing = {}
+        for src in range(n):
+            if src in correct:
+                outgoing[src] = {
+                    lb: v for lb, v in trees[src].items() if len(lb) == level and src not in lb
+                }
+            elif src in byz:
+                outgoing[src] = {lb: default for lb in labels_of(level) if src not in lb}
+        for src in sorted(outgoing):
+            for dst in correct:
+                if dst == src:
+                    continue
+                payload = outgoing[src]
+                if src in byz:
+                    payload = byz[src](rnd, src, dst, dict(outgoing[src]))
+                if payload is None:
+                    continue
+                messages.append((rnd, src, dst, sum(len(v) for v in payload.values())))
+                for lb, v in payload.items():
+                    if len(lb) == level and src not in lb:
+                        trees[dst][lb + (src,)] = v
+
+    def resolve(tree, lb):
+        if len(lb) == f + 1:
+            return tree.get(lb, default)
+        kids = [resolve(tree, lb + (q,)) for q in range(n) if q not in lb]
+        counts = Counter(kids)
+        best = min(sorted(counts), key=lambda v: (-counts[v], v))
+        return best if counts[best] * 2 > len(kids) else default
+
+    return {p: resolve(trees[p], ()) for p in correct}, messages
+
+
+def _forge(rnd, src, _dst, payload):
+    return {**payload, (): U, (src,) * (rnd - 1): W, (0,) * rnd: V, (1, 1)[:rnd]: U}
+
+
+def test_eig_matches_the_tree_and_recursion_reference():
+    # Every n <= 7 and every legal f, with silent, scrambling and forging
+    # Byzantine nodes (the scramblers draw from one seeded generator per run,
+    # so their draws must come in the same order; the forgers add labels of
+    # the wrong length, with their own id, or with a repeated id, which
+    # correct nodes then relay), absent nodes and a three-value pool.
+    rng = random.Random(11)
+    runs = 0
+    for n in range(1, 8):
+        for f in range((n - 1) // 3 + 1):
+            for _ in range(20):
+                ids = rng.sample(range(n), n)
+                bad = ids[: rng.randint(0, f)]
+                absent = ids[len(bad):][: rng.random() < 0.2]
+                proposals = {
+                    p: rng.choice((V, U, W)) for p in range(n) if p not in bad + absent
+                }
+                if not proposals:
+                    continue
+                kinds = [rng.choice(("silent", "scramble", "forge")) for _ in bad]
+                seed = rng.getrandbits(32)
+                default = rng.choice((None, V, U))
+
+                def behaviors():
+                    gen = random.Random(seed)
+                    made = {
+                        "silent": byz_silent,
+                        "scramble": byz_scramble([V, U, W], gen),
+                        "forge": _forge,
+                    }
+                    return {b: made[kind] for b, kind in zip(bad, kinds)}
+
+                assert run_eig(n, f, proposals, behaviors(), default) == _reference_eig(
+                    n, f, proposals, behaviors(), default
+                ), (n, f, proposals, kinds)
+                runs += 1
+    assert runs > 200
+
+
 def test_eig_rejects_weak_tolerance():
     with pytest.raises(PreconditionViolation):
         run_eig(3, 1, {0: V, 1: V, 2: V})

@@ -122,6 +122,33 @@ def test_input_the_parser_once_read_quietly_is_rejected(path, value, match):
         parse_scenario(json.dumps(_set(base, path, value)))
 
 
+@pytest.mark.parametrize(
+    "step",
+    [
+        ["jump", 0],                             # an unknown tag
+        ["crash"],                               # the wrong arity
+        ["deliver", 0, 1, "proposal", 0, 0],
+        ["pick"],
+        ["timer", "0"],                          # a non-int node id
+        ["deliver", 0, [1], "proposal", 0],
+        ["decision", 5],                         # a node id outside 0..n-1
+        ["deliver", 0, 1, "proposal", 1.0],      # a non-int k
+        ["drop", 0, 1, "proposal", True],
+        ["deliver", 0, 1, "proposal", -1],       # a k below 0
+        ["deliver", 0, 1, "gossip", 0],          # a kind that is no MsgKind
+        ["drop", 0, 1, ["proposal"]],
+        ["pick", "not hex"],                     # a pick that is no hex string
+        ["pick", 118],
+        ["pick", "7"],
+    ],
+)
+def test_malformed_script_steps_are_rejected(step):
+    base = json.loads(serialize_scenario(golden_set()[1].scenario))
+    base["schedule"]["steps"].insert(2, step)
+    with pytest.raises(ScenarioInvalid, match=r"malformed script step 2: "):
+        parse_scenario(json.dumps(base))
+
+
 def _set(obj, path, value):
     here = obj
     for key in path[:-1]:
@@ -366,3 +393,14 @@ def test_cli_operator_errors_exit_one(tmp_path):
     assert strict.returncode == 1
     _assert_cli_started(strict)
     assert strict.stderr.startswith("error: binary_domain must be true or false"), strict.stderr
+
+
+def test_cli_rejects_a_malformed_witness_script(tmp_path):
+    (tmp_path / "golden.json").write_text(serialize_scenario(golden_set()[0].scenario))
+    (tmp_path / "witness.json").write_text(
+        json.dumps({"steps": [["deliver", 0, 1, "proposal", -1]]})
+    )
+    bad = _cli("run", "--scenario", "golden.json", "--script", "witness.json", cwd=tmp_path)
+    assert bad.returncode == 1
+    _assert_cli_started(bad)
+    assert bad.stderr.startswith("error: malformed script step 0"), bad.stderr

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -247,15 +249,80 @@ def test_the_seeded_index_lists_the_linear_enumeration(sc, seed, clone_at):
 
 
 def test_script_with_impossible_step_deadlocks():
-    sc = _benign3(schedule=Scripted(((("deliver", 0, 1, "proposal", 7)),)))
-    with pytest.raises(ScenarioInvalid):
+    impossible = ("deliver", 0, 1, "proposal", 7)
+    sc = _benign3(schedule=Scripted((impossible, ("timer", 0))))
+    with pytest.raises(ScenarioInvalid, match=re.escape(f"step {impossible!r} never")):
         run(sc)
+
+
+def _check_the_head_test(sc: Scenario, seed: int) -> Counter:
+    """Drive sc through random scripted choices; at every step the indexed
+    head test must agree with membership in the listed choices, for each
+    listed choice and for near misses.  Counts the near misses seen."""
+    rn = Runner(sc, record_trace=False)
+    rn.start_batch()
+    rng = random.Random(seed)
+    seen: Counter = Counter()
+    while True:
+        choices = rn.enabled_choices("scripted")
+        listed = set(choices)
+        probes = [(c, "listed") for c in choices]
+        probes += [((*c, 0), "wrong arity") for c in choices]
+        for c in choices:
+            if c[0] == "deliver":
+                probes.append(((*c[:4], len(rn._slots[c[1:4]])), "k past the end"))
+                if c[1] not in rn.crashed:
+                    probes.append((("drop", *c[1:]), "drop from a live sender"))
+        for node in range(sc.cfg.n):
+            if ("timer", node) in rn._slots and rn._proposals_to[node]:
+                probes.append((("timer", node), "timer with proposals pending"))
+        if rn.pick_enabled and not rn.pick_done:
+            for v in (V, U, b"w"):
+                if v not in rn.base_legal:
+                    probes.append((("pick", v.hex()), "pick outside the legal set"))
+        for step, kind in probes:
+            assert rn._enabled(step) == (step in listed), (step, kind)
+            seen[kind] += 1
+        if not choices:
+            return seen
+        rn.apply_choice(choices[rng.randrange(len(choices))])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_seeded_systems(), st.integers(0, 2**32))
+def test_the_head_test_agrees_with_the_listed_choices(sc, seed):
+    _check_the_head_test(sc, seed)
+
+
+def test_the_head_test_meets_every_near_miss():
+    seen: Counter = Counter()
+    crashy = _scenario(
+        5, 2, FailureModel.BENIGN, (V, U, V, U, V),
+        (Correct(), Correct(), Correct(), CrashAt(1), CrashAt(1)), Seeded(0),
+    )
+    timed = Scenario(
+        cfg=OptimizerConfig(
+            4, 1, FullValue(V), FailureModel.BYZANTINE_CLASSICAL, sync_timeout=1.0
+        ),
+        initial_values=tuple(FullValue(v) for v in (V, U, V, U)),
+        faults=(Correct(),) * 4,
+        schedule=Seeded(0),
+    )
+    for sc in (crashy, timed):
+        for seed in range(5):
+            seen += _check_the_head_test(sc, seed)
+    assert set(seen) == {
+        "listed", "wrong arity", "k past the end", "drop from a live sender",
+        "timer with proposals pending", "pick outside the legal set",
+    }, seen
+    assert seen["listed"] > seen["pick outside the legal set"] > 0
 
 
 def test_script_with_leftover_steps_is_rejected():
     first = run(_benign3(schedule=Seeded(7)))
-    padded = tuple(first.script) + (("timer", 0),)
-    with pytest.raises(ScenarioInvalid):
+    padded = tuple(first.script) + (("timer", 0), ("crash", 1))
+    named = re.escape("2 unconsumed steps, first ('timer', 0)")
+    with pytest.raises(ScenarioInvalid, match=named):
         run(_benign3(schedule=Scripted(padded)))
 
 
@@ -676,3 +743,27 @@ def test_a_phase_king_base_needs_n_above_4f():
         )
         with pytest.raises(ScenarioInvalid, match=f"n > 4f, got n={n} f={f}"):
             validate_scenario(sc)
+
+
+def test_an_eig_base_past_the_event_budget_is_refused(monkeypatch):
+    # The relay tree has n(n-1)...(n-f) leaves per node.
+    def eig(n, f):
+        cfg = OptimizerConfig(
+            n, f, FullValue(V), FailureModel.BYZANTINE_EXTERNAL, binary_domain=True
+        )
+        return Scenario(
+            cfg=cfg,
+            initial_values=tuple(FullValue(V if i % 2 else U) for i in range(n)),
+            faults=(Correct(),) * n,
+            schedule=Seeded(0),
+            base="eig",
+        )
+
+    with pytest.raises(ScenarioInvalid, match="5765760 relay-tree leaves"):
+        validate_scenario(eig(16, 5))
+    trace = run(eig(13, 4), record_trace=False)   # 154,440 leaves, about 2 s
+    assert trace.violations == []
+    assert trace.counters["base"]["msgs"] > 0
+    monkeypatch.setenv("SIM_EVENT_BUDGET", "154439")
+    with pytest.raises(ScenarioInvalid, match="154440 relay-tree leaves"):
+        validate_scenario(eig(13, 4))
