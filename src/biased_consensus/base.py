@@ -164,25 +164,24 @@ def run_floodset(
     known: dict[NodeId, set[bytes]] = {p: {v} for p, v in proposals.items()}
     messages: SyncMessages = []
     for rnd in range(1, f + 2):
-        sends: list[tuple[NodeId, NodeId, frozenset[bytes]]] = []
+        sends: list[tuple[NodeId, NodeId, frozenset[bytes], int]] = []
         for src in sorted(known):
             if src in crashes and crashes[src][0] < rnd:
                 continue
             payload = frozenset(known[src])
+            nbytes = _payload_size(payload)
             for dst in sorted(known):
                 if dst == src:
                     continue
                 if src in crashes and crashes[src][0] == rnd:
                     if dst not in crashes[src][1]:
                         continue
-                sends.append((src, dst, payload))
-        for src, dst, payload in sends:
-            messages.append((rnd, src, dst, _payload_size(payload)))
+                sends.append((src, dst, payload, nbytes))
+        for src, dst, payload, nbytes in sends:
+            messages.append((rnd, src, dst, nbytes))
             if not (dst in crashes and crashes[dst][0] <= rnd):
                 known[dst].update(payload)
-    decisions = {
-        p: min(sorted(known[p])) for p in sorted(known) if p not in crashes
-    }
+    decisions = {p: min(known[p]) for p in sorted(known) if p not in crashes}
     return decisions, messages
 
 
@@ -212,16 +211,19 @@ def run_phase_king(
         received: dict[NodeId, list[bytes]] = {p: [current[p]] for p in correct}
         for src in range(n):
             honest = current.get(src)
-            for dst in correct:
-                if dst == src:
-                    continue
-                payload = honest
-                if src in byz:
+            if src in byz:
+                # A Byzantine vote may differ per receiver: size each one.
+                for dst in correct:
                     payload = byz[src](rnd, src, dst, honest)
-                if payload is None:
-                    continue
-                messages.append((rnd, src, dst, _payload_size(payload)))
-                received[dst].append(payload)
+                    if payload is not None:
+                        messages.append((rnd, src, dst, _payload_size(payload)))
+                        received[dst].append(payload)
+            elif honest is not None:
+                nbytes = _payload_size(honest)
+                for dst in correct:
+                    if dst != src:
+                        messages.append((rnd, src, dst, nbytes))
+                        received[dst].append(honest)
         tally: dict[NodeId, tuple[bytes, int]] = {}
         for p in correct:
             counts: dict[bytes, int] = {}
@@ -288,6 +290,7 @@ def run_eig(
             if src in held:
                 relayed = {lb + (src,): v for lb, v in held[src].items() if src not in lb}
                 nbytes = _payload_size(relayed)   # the values, whatever the labels
+                received[src].update(relayed)   # a node keeps what it relays
                 for dst in correct:
                     if dst != src:
                         messages.append((rnd, src, dst, nbytes))

@@ -91,6 +91,13 @@ def _flag(obj: dict, key: str, default: bool | None) -> bool:
     return value
 
 
+def _int(value: Any, what: str) -> int:
+    """value, checked to be an integer: no string, float or bool stands in."""
+    if type(value) is not int:
+        raise ScenarioInvalid(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _count(obj: dict, key: str, default: int, least: int) -> int:
     value = obj.get(key, default)
     if type(value) is not int or value < least:
@@ -134,16 +141,19 @@ def _strategy_to_obj(s: Strategy) -> dict:
 
 
 def _strategy_from_obj(obj: dict) -> Strategy:
-    kind = obj.get("kind")
+    kind = obj.get("kind") if isinstance(obj, dict) else None
     if kind == "silent":
+        _fields(obj, "silent strategy", "kind")
         return Silent()
     if kind == "equivocate":
+        _fields(obj, "equivocate strategy", "kind", "targets_a", "val_a", "val_b")
         return Equivocate(
             _bytes_from_obj(obj["val_a"], "val_a"),
             _bytes_from_obj(obj["val_b"], "val_b"),
-            frozenset(int(t) for t in obj.get("targets_a", [])),
+            frozenset(_int(t, "targets_a entry") for t in obj.get("targets_a", [])),
         )
     if kind == "mimic_honest":
+        _fields(obj, "mimic_honest strategy", "kind", "proof", "value")
         return MimicHonest(
             FullValue(
                 _bytes_from_obj(obj["value"], "value"),
@@ -151,17 +161,20 @@ def _strategy_from_obj(obj: dict) -> Strategy:
             )
         )
     if kind == "arbitrary":
-        sends = tuple(
-            (
-                int(s["src"]),
-                int(s["dst"]),
-                MsgKind(s["msg"]),
-                _bytes_from_obj(s["val"], "val"),
-                bytes.fromhex(s.get("proof", "")),
+        _fields(obj, "arbitrary strategy", "kind", "sends")
+        sends = []
+        for s in obj.get("sends", []):
+            _fields(s, "scripted send", "dst", "msg", "proof", "src", "val")
+            sends.append(
+                (
+                    _int(s["src"], "send src"),
+                    _int(s["dst"], "send dst"),
+                    MsgKind(s["msg"]),
+                    _bytes_from_obj(s["val"], "val"),
+                    bytes.fromhex(s.get("proof", "")),
+                )
             )
-            for s in obj.get("sends", [])
-        )
-        return ArbitraryScript(sends)
+        return ArbitraryScript(tuple(sends))
     raise ScenarioInvalid(f"unknown strategy kind {kind!r}")
 
 
@@ -209,7 +222,7 @@ def _schedule_from_obj(obj: dict) -> Schedule:
     mode = obj.get("mode") if isinstance(obj, dict) else None
     if mode == "seeded":
         _fields(obj, "seeded schedule", "mode", "seed")
-        return Seeded(int(obj["seed"]))
+        return Seeded(_int(obj["seed"], "seed"))
     if mode == "scripted":
         _fields(obj, "scripted schedule", "mode", "steps")
         return Scripted(tuple(tuple(s) for s in obj.get("steps", [])))
@@ -268,8 +281,8 @@ def scenario_from_obj(obj: dict) -> Scenario:
             "preferred", "preferred_proof", "straw_man", "sync_timeout", "variant",
         )
         cfg = OptimizerConfig(
-            n=int(system["n"]),
-            f=int(system["f"]),
+            n=_int(system["n"], "n"),
+            f=_int(system["f"], "f"),
             preferred=FullValue(
                 _bytes_from_obj(system["preferred"], "preferred"),
                 bytes.fromhex(system.get("preferred_proof", "")),
@@ -280,8 +293,11 @@ def scenario_from_obj(obj: dict) -> Scenario:
             binary_domain=_flag(system, "binary_domain", False),
             straw_man=_flag(system, "straw_man", False),
         )
-        nodes = sorted(obj["nodes"], key=lambda nd: int(nd["id"]))
-        if [int(nd["id"]) for nd in nodes] != list(range(cfg.n)):
+        nodes = sorted(
+            (_fields(nd, "node", "fault", "id", "proof", "value") for nd in obj["nodes"]),
+            key=lambda nd: _int(nd["id"], "node id"),
+        )
+        if [nd["id"] for nd in nodes] != list(range(cfg.n)):
             raise ScenarioInvalid("node ids must cover 0..n-1 exactly once")
         initial = tuple(
             FullValue(

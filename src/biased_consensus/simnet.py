@@ -58,6 +58,7 @@ from .core import (
 from .optimizer import (
     Broadcast,
     Decide,
+    DecisionPath,
     OptimizerNode,
     Phase,
     ProposeToBase,
@@ -68,6 +69,7 @@ from .proof_aware import ProofAwareNode
 DEFAULT_EVENT_BUDGET = 1_000_000
 _KINDS = tuple(k.value for k in MsgKind)
 _PROPOSAL = MsgKind.PROPOSAL.value
+_BASE = MsgKind.BASE.value
 
 
 def event_budget() -> int:
@@ -397,6 +399,9 @@ class Runner:
         self.byz_activator: NodeId | None = None
         self.byz_activation_val: bytes | None = None
         self.observed: set[NodeId] = set()
+        # What the bystander scan would find: correct live fast-deciders
+        # that have neither joined the base nor been sent a wakeup.
+        self._unwoken: set[NodeId] = set()
         self.pick_enabled = False
         self.pick_done = False
         self.base_legal: list[bytes] = []
@@ -439,10 +444,11 @@ class Runner:
                 self._add(("crash", node))
             if isinstance(fl, Byzantine) and not isinstance(fl.strategy, MimicHonest):
                 sends = byzantine_emit(fl.strategy, node, self.cfg.n)
-                rec = {"ev": "start", "node": node, "actions": []}
+                rec = {"ev": "start", "node": node, "actions": []} if self.record_trace else None
                 for src, dst, kind, val, proof in sends:
                     env = self._emit(src, dst, kind, val, proof)
-                    rec["actions"].append(_fmt_send(dst, kind, val, proof, env.seq))
+                    if rec is not None:
+                        rec["actions"].append(_fmt_send(dst, kind, val, proof, env.seq))
                 self._trace_event(rec)
                 continue
             value = (
@@ -452,7 +458,7 @@ class Runner:
             )
             machine = self._machine_for(node, value)
             self.machines[node] = machine
-            rec = {"ev": "start", "node": node, "actions": []}
+            rec = {"ev": "start", "node": node, "actions": []} if self.record_trace else None
             self._apply_actions(node, machine.start(), rec)
             self._trace_event(rec)
         if self.cfg.sync_timeout is not None:
@@ -466,7 +472,7 @@ class Runner:
     ) -> Envelope:
         env = Envelope(self.seq, src, dst, kind, val, proof)
         self.seq += 1
-        c = self.counters[kind.value]
+        c = self.counters[env.kindval]
         c["msgs"] += 1
         c["val_bytes"] += len(val)
         c["proof_bytes"] += len(proof)
@@ -474,19 +480,21 @@ class Runner:
             self._add(("deliver", env))
         return env
 
-    def _apply_actions(self, node: NodeId, actions: list, rec: dict) -> None:
+    def _apply_actions(self, node: NodeId, actions: list, rec: dict | None) -> None:
+        """Carry out a machine's actions, listing them in rec when traced."""
+        out = rec["actions"] if rec is not None else None
         for a in actions:
             if isinstance(a, Broadcast):
                 for dst in range(self.cfg.n):
                     if dst == node:
                         continue
                     env = self._emit(node, dst, a.kind, a.val, a.proof)
-                    rec["actions"].append(
-                        _fmt_send(dst, a.kind, a.val, a.proof, env.seq)
-                    )
+                    if out is not None:
+                        out.append(_fmt_send(dst, a.kind, a.val, a.proof, env.seq))
             elif isinstance(a, SendTo):
                 env = self._emit(node, a.to, a.kind, a.val, a.proof)
-                rec["actions"].append(_fmt_send(a.to, a.kind, a.val, a.proof, env.seq))
+                if out is not None:
+                    out.append(_fmt_send(a.to, a.kind, a.val, a.proof, env.seq))
             elif isinstance(a, ProposeToBase):
                 self.propose_count[node] += 1
                 if node not in self.is_byz:
@@ -495,9 +503,9 @@ class Runner:
                     self.byz_activator = node
                     self.byz_activation_val = a.value.val
                 self.base_active = True
-                rec["actions"].append(
-                    f"propose {a.value.val.hex()} {a.value.proof.hex()}"
-                )
+                self._unwoken.discard(node)
+                if out is not None:
+                    out.append(f"propose {a.value.val.hex()} {a.value.proof.hex()}")
             elif isinstance(a, Decide):
                 self.decide_count[node] += 1
                 if self.decide_count[node] > 1:
@@ -507,7 +515,10 @@ class Runner:
                 self.decisions[node] = DecisionRecord(
                     node, a.value, a.path, self.event_index
                 )
-                rec["actions"].append(f"decide {a.path.value} {a.value.hex()}")
+                if a.path is DecisionPath.FAST and node not in self.is_byz:
+                    self._unwoken.add(node)
+                if out is not None:
+                    out.append(f"decide {a.path.value} {a.value.hex()}")
             else:
                 raise TypeError(f"unknown action {a!r}")
 
@@ -530,17 +541,13 @@ class Runner:
     def _post_event(self) -> None:
         if not self.base_active or self.pick_done:
             return
-        src = self._base_traffic_source()
+        src = self._base_traffic_source() if self._unwoken else None
         if src is not None:
-            for node in self._correct_live():
-                m = self.machines[node]
-                if (
-                    m.phase is Phase.FAST_DECIDED
-                    and not m.joined_base
-                    and node not in self.observed
-                ):
-                    self.observed.add(node)
-                    self._emit(src[0], node, MsgKind.BASE, src[1], b"")
+            # In id order, the order a scan of the nodes would wake them.
+            for node in sorted(self._unwoken):
+                self.observed.add(node)
+                self._emit(src[0], node, MsgKind.BASE, src[1], b"")
+            self._unwoken.clear()
         live = self._correct_live()
         # Proposals and crashes only accumulate: equal counts, equal legal set.
         sizes = (len(self.base.proposals), len(self.crashed))
@@ -672,30 +679,20 @@ class Runner:
             self.event_index += 1
             self._post_event()
             return
-        ev = self._take(choice)
+        self._dispatch(tag, self._take(choice)[1])
+
+    def _dispatch(self, tag: str, x) -> None:
+        """Execute a removed pending event as the choice tagged tag."""
         if tag == "deliver":
-            self._dispatch_deliver(ev[1])
+            self._dispatch_deliver(x)
         elif tag == "drop":
-            env = ev[1]
-            if env.kind is MsgKind.BASE and env.dst not in self.crashed:
-                # The wakeup was lost in flight; rearm so another live
-                # participant's traffic can reach the bystander.
-                self.observed.discard(env.dst)
-            self._trace_event(
-                {
-                    "ev": "drop",
-                    "seq": env.seq,
-                    "src": env.src,
-                    "dst": env.dst,
-                    "kind": env.kind.value,
-                }
-            )
+            self._dispatch_drop(x)
         elif tag == "decision":
-            self._dispatch_decision(ev[1])
+            self._dispatch_decision(x)
         elif tag == "timer":
-            self._dispatch_timer(ev[1])
+            self._dispatch_timer(x)
         elif tag == "crash":
-            self._dispatch_crash(ev[1])
+            self._dispatch_crash(x)
         self.event_index += 1
         self._post_event()
 
@@ -779,16 +776,18 @@ class Runner:
     # -- dispatchers ---------------------------------------------------------
 
     def _dispatch_deliver(self, env: Envelope) -> None:
-        rec = {
-            "ev": "deliver",
-            "seq": env.seq,
-            "src": env.src,
-            "dst": env.dst,
-            "kind": env.kind.value,
-            "val": env.val.hex(),
-            "proof": env.proof.hex(),
-            "actions": [],
-        }
+        rec = None
+        if self.record_trace:
+            rec = {
+                "ev": "deliver",
+                "seq": env.seq,
+                "src": env.src,
+                "dst": env.dst,
+                "kind": env.kindval,
+                "val": env.val.hex(),
+                "proof": env.proof.hex(),
+                "actions": [],
+            }
         m = self.machines[env.dst]
         if env.kind is MsgKind.PROPOSAL:
             actions = m.on_proposal(env.src, env.val)
@@ -802,9 +801,24 @@ class Runner:
         self._apply_actions(env.dst, actions, rec)
         self._trace_event(rec)
 
+    def _dispatch_drop(self, env: Envelope) -> None:
+        dst = env.dst
+        if env.kindval == _BASE and dst not in self.crashed:
+            # The wakeup was lost in flight; rearm so another live
+            # participant's traffic can reach the bystander.
+            self.observed.discard(dst)
+            m = self.machines[dst]
+            if m.phase is Phase.FAST_DECIDED and not m.joined_base:
+                self._unwoken.add(dst)
+        self._trace_event(
+            {"ev": "drop", "seq": env.seq, "src": env.src, "dst": dst, "kind": env.kindval}
+        )
+
     def _dispatch_decision(self, node: NodeId) -> None:
         value = self.base_decisions.get(node, self.base_decision)
-        rec = {"ev": "decision", "node": node, "val": value.hex(), "actions": []}
+        rec = None
+        if self.record_trace:
+            rec = {"ev": "decision", "node": node, "val": value.hex(), "actions": []}
         try:
             actions = self.machines[node].on_base_decision(value)
         except ConsistencyViolation as e:
@@ -814,13 +828,14 @@ class Runner:
         self._trace_event(rec)
 
     def _dispatch_timer(self, node: NodeId) -> None:
-        rec = {"ev": "timer", "node": node, "actions": []}
+        rec = {"ev": "timer", "node": node, "actions": []} if self.record_trace else None
         self._apply_actions(node, self.machines[node].on_timeout(), rec)
         self._trace_event(rec)
 
     def _dispatch_crash(self, node: NodeId) -> None:
         self.crashed.add(node)
         self._live_cache = None
+        self._unwoken.discard(node)
         slots = self._slots
         for ev in (("decision", node), ("timer", node)):
             for slot in slots.get(ev, ()):
@@ -835,8 +850,8 @@ class Runner:
                         self._set_weight(slot)
         self._trace_event({"ev": "crash", "node": node})
 
-    def _trace_event(self, rec: dict) -> None:
-        if self.record_trace:
+    def _trace_event(self, rec: dict | None) -> None:
+        if rec is not None and self.record_trace:
             self.events.append({"i": self.event_index, **rec})
 
     # -- scheduling loops ----------------------------------------------------
@@ -857,10 +872,18 @@ class Runner:
         rng = random.Random(seed)
         while True:
             choices = self.enabled_choices("seeded")
-            if not choices:
+            count = len(choices)
+            if not count:
                 break
             self._check_budget()
-            self.apply_choice(choices[rng.randrange(len(choices))])
+            i = rng.randrange(count)
+            if isinstance(choices, _SeededChoices) and i < choices.units:
+                # Apply by the slot the index located, not by the choice's key.
+                choice, slot = choices.locate(i)
+                self.applied.append(choice)
+                self._dispatch(choice[0], self._remove(slot)[1])
+            else:
+                self.apply_choice(choices[i])
 
     def _run_scripted(self, steps: list[tuple]) -> None:
         script = steps[::-1]   # the next step last, so consuming one is a pop
@@ -1033,6 +1056,7 @@ class Runner:
         dup.base.proposals = dict(self.base.proposals)
         dup.base.decided = self.base.decided
         dup.observed = set(self.observed)
+        dup._unwoken = set(self._unwoken)
         dup.base_decisions = dict(self.base_decisions)
         dup.counters = {k: dict(v) for k, v in self.counters.items()}
         dup.propose_count = dict(self.propose_count)
@@ -1135,13 +1159,17 @@ class _SeededChoices(Sequence):
             raise IndexError(i)
         if i >= self.units:
             return ("pick", self.picks[i - self.units].hex())
+        return self.locate(i)[0]
+
+    def locate(self, i: int) -> tuple[tuple, int]:
+        """Entry i below the units, and the pending slot it stands for."""
         slot, twin = self.rn._tree.find(i)
         tag, x = self.rn.pending[slot]
         if tag != "deliver":
-            return (tag, x)
+            return (tag, x), slot
         key = (x.src, x.dst, x.kindval)
         k = self.rn._slots[key].index(slot)
-        return ("drop" if twin else "deliver", *key, k)
+        return ("drop" if twin else "deliver", *key, k), slot
 
 
 def run(scenario: Scenario, record_trace: bool = True) -> Trace:

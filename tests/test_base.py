@@ -14,6 +14,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from biased_consensus import (
     DuplicatePropose,
@@ -259,7 +260,8 @@ def test_eig_agreement_and_legality_sweep():
 
 def _reference_eig(n, f, proposals, byz=None, default=None):
     """run_eig as first written: whole per-node trees, every level scanned
-    out of the tree on each round, and a recursive resolve."""
+    out of the tree on each round, and a recursive resolve; a correct node
+    keeps the entries it relays in its own tree."""
 
     def labels_of(length):
         if length == 0:
@@ -283,6 +285,9 @@ def _reference_eig(n, f, proposals, byz=None, default=None):
             elif src in byz:
                 outgoing[src] = {lb: default for lb in labels_of(level) if src not in lb}
         for src in sorted(outgoing):
+            if src in correct:
+                for lb, v in outgoing[src].items():
+                    trees[src][lb + (src,)] = v
             for dst in correct:
                 if dst == src:
                     continue
@@ -350,6 +355,60 @@ def test_eig_matches_the_tree_and_recursion_reference():
     assert runs > 200
 
 
+# The flavor each engine stands in for: what the simulator refers it against.
+_ENGINE_FLAVOR = {
+    "floodset": BaseFlavor.BENIGN,
+    "phase_king": BaseFlavor.CLASSICAL,
+    "eig": BaseFlavor.BINARY,
+}
+
+
+@st.composite
+def _engine_runs(draw):
+    """An engine, its size, and up to f faulty nodes: absent ones (never
+    proposed), floodset crashes mid-protocol, and silent or scrambling
+    Byzantines, which may or may not have proposed themselves."""
+    engine = draw(st.sampled_from(list(_ENGINE_FLAVOR)))
+    least, most, divisor = {"floodset": (2, 8, 2), "phase_king": (5, 13, 4), "eig": (4, 7, 3)}[engine]
+    n = draw(st.integers(least, most))
+    f = draw(st.integers(0, min((n - 1) // divisor, 2 if engine == "eig" else n)))
+    values = (V, U) if engine == "eig" else (V, U, W)
+    proposals = dict(enumerate(draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))))
+    crashes, byz = {}, {}
+    pool = sorted(set(proposals.values()))
+    for node in draw(st.lists(st.integers(0, n - 1), unique=True, max_size=f)):
+        kinds = ["absent", "crash"] if engine == "floodset" else ["absent", "silent", "scramble"]
+        kind = draw(st.sampled_from(kinds))
+        if kind != "crash" and (kind == "absent" or draw(st.booleans())):
+            del proposals[node]
+        if kind == "crash":
+            reached = draw(st.frozensets(st.integers(0, n - 1)))
+            crashes[node] = (draw(st.integers(1, f + 1)), reached)
+        elif kind == "silent":
+            byz[node] = byz_silent
+        elif kind == "scramble":
+            byz[node] = byz_scramble(pool, random.Random(draw(st.integers(0, 2**32))))
+    return engine, n, f, proposals, crashes, byz
+
+
+@settings(max_examples=150, deadline=None)
+@given(_engine_runs())
+def test_concrete_engines_agree_on_a_legal_value(case):
+    engine, n, f, proposals, crashes, byz = case
+    if engine == "floodset":
+        decisions, _ = run_floodset(n, f, proposals, crashes)
+    elif engine == "phase_king":
+        decisions, _ = run_phase_king(n, f, proposals, byz)
+    else:
+        decisions, _ = run_eig(n, f, proposals, byz)
+    correct = {p for p in proposals if p not in crashes and p not in byz}
+    assert set(decisions) == correct
+    decided = set(decisions.values())
+    assert len(decided) == 1
+    legal = _legal_for(proposals, _ENGINE_FLAVOR[engine], correct, set(crashes))
+    assert decided.pop() in legal
+
+
 def test_eig_rejects_weak_tolerance():
     with pytest.raises(PreconditionViolation):
         run_eig(3, 1, {0: V, 1: V, 2: V})
@@ -363,3 +422,13 @@ def test_engines_are_deterministic():
     assert run_floodset(4, 1, {0: V, 1: U, 2: V, 3: U}) == run_floodset(
         4, 1, {0: V, 1: U, 2: V, 3: U}
     )
+
+
+def test_eig_nodes_keep_the_entries_they_relay():
+    # Without its own relays in its tree a node folds them as the default:
+    # at f = 0 the node holding u then decided v while the others decided u,
+    # and a Byzantine relay could split a mixed system the same way.
+    assert run_eig(4, 0, {0: V, 1: V, 2: V, 3: U})[0] == {0: V, 1: V, 2: V, 3: V}
+    scramble = byz_scramble([U, V], random.Random(7))
+    decisions, _ = run_eig(4, 1, {0: V, 1: V, 2: U, 3: U}, {3: scramble})
+    assert len(set(decisions.values())) == 1

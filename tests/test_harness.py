@@ -22,6 +22,7 @@ from biased_consensus import (
     FailureModel,
     FullValue,
     MissingGolden,
+    MsgKind,
     OptimizerConfig,
     Scenario,
     ScenarioInvalid,
@@ -120,6 +121,54 @@ def test_input_the_parser_once_read_quietly_is_rejected(path, value, match):
     base = json.loads(serialize_scenario(golden_set()[0].scenario))
     with pytest.raises(ScenarioInvalid, match=match):
         parse_scenario(json.dumps(_set(base, path, value)))
+
+
+_SEND = {"dst": 0, "msg": "proposal", "proof": "", "src": 4, "val": {"text": "u"}}
+_BYZ4 = ("nodes", 4, "fault", "strategy")   # node 4 is Byzantine in goldens 1 and 6
+
+
+def _arbitrary(**send) -> dict:
+    return {"kind": "arbitrary", "sends": [{**_SEND, **send}]}
+
+
+@pytest.mark.parametrize(
+    "golden, path, value, match",
+    [
+        # Unknown keys in a strategy, a scripted send or a node entry.
+        (6, (*_BYZ4, "loud"), 1, r"silent strategy: unknown keys \['loud'\]"),
+        (1, (*_BYZ4, "target_a"), [0], r"equivocate strategy: unknown keys \['target_a'\]"),
+        (8, ("nodes", 3, "fault", "strategy", "vale"), {"text": "v"},
+         r"mimic_honest strategy: unknown keys \['vale'\]"),
+        (1, _BYZ4, {"kind": "arbitrary", "sends": [], "at": 0},
+         r"arbitrary strategy: unknown keys \['at'\]"),
+        (1, _BYZ4, _arbitrary(kind="x"), r"scripted send: unknown keys \['kind'\]"),
+        (0, ("nodes", 1, "faults"), {"kind": "correct"}, r"node: unknown keys \['faults'\]"),
+        # Integer fields given as a string, a float or a bool.
+        (0, ("nodes", 1, "id"), "1", "node id must be an integer, got '1'"),
+        (0, ("nodes", 1, "id"), 1.0, "node id must be an integer, got 1.0"),
+        (0, ("nodes", 1, "id"), True, "node id must be an integer, got True"),
+        (1, (*_BYZ4, "targets_a"), ["0"], "targets_a entry must be an integer, got '0'"),
+        (1, (*_BYZ4, "targets_a"), [0.0], "targets_a entry must be an integer, got 0.0"),
+        (1, _BYZ4, _arbitrary(src="4"), "send src must be an integer, got '4'"),
+        (1, _BYZ4, _arbitrary(dst=False), "send dst must be an integer, got False"),
+        (0, ("schedule",), {"mode": "seeded", "seed": "7"}, "seed must be an integer, got '7'"),
+        (0, ("schedule",), {"mode": "seeded", "seed": 7.5}, "seed must be an integer, got 7.5"),
+        (0, ("system", "n"), 3.0, "n must be an integer, got 3.0"),
+        (0, ("system", "f"), "1", "f must be an integer, got '1'"),
+        (0, ("system", "f"), True, "f must be an integer, got True"),
+    ],
+)
+def test_strategies_nodes_and_integers_are_read_strictly(golden, path, value, match):
+    base = json.loads(serialize_scenario(golden_set()[golden].scenario))
+    with pytest.raises(ScenarioInvalid, match=match):
+        parse_scenario(json.dumps(_set(base, path, value)))
+
+
+def test_a_well_formed_arbitrary_strategy_still_parses():
+    base = json.loads(serialize_scenario(golden_set()[1].scenario))
+    _set(base, _BYZ4, _arbitrary())
+    sc = parse_scenario(json.dumps(base))
+    assert sc.faults[4].strategy.sends == ((4, 0, MsgKind.PROPOSAL, U, b""),)
 
 
 @pytest.mark.parametrize(
@@ -393,6 +442,13 @@ def test_cli_operator_errors_exit_one(tmp_path):
     assert strict.returncode == 1
     _assert_cli_started(strict)
     assert strict.stderr.startswith("error: binary_domain must be true or false"), strict.stderr
+    loose["system"]["binary_domain"] = False
+    loose["system"]["n"] = "3"
+    (tmp_path / "loose.json").write_text(json.dumps(loose))
+    strict = _cli("run", "--scenario", "loose.json", cwd=tmp_path)
+    assert strict.returncode == 1
+    _assert_cli_started(strict)
+    assert strict.stderr.startswith("error: n must be an integer, got '3'"), strict.stderr
 
 
 def test_cli_rejects_a_malformed_witness_script(tmp_path):

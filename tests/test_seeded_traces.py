@@ -155,6 +155,18 @@ def test_seeded_traces_match_their_pinned_digests(name):
     assert not drifted, f"seeded traces drifted: {drifted}"
 
 
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_an_untraced_run_keeps_everything_but_the_events(name):
+    for key in all_keys():
+        if key[0] != name:
+            continue
+        traced = run(build(*key))
+        untraced = run(build(*key), record_trace=False)
+        assert untraced.events == [] and traced.events, _label(key)
+        for part in ("script", "decisions", "counters", "violations", "final_phases"):
+            assert getattr(untraced, part) == getattr(traced, part), (_label(key), part)
+
+
 def test_the_pinned_runs_cover_every_fault_kind_and_base():
     pinned = json.loads(DIGESTS.read_text(encoding="utf-8"))
     assert set(pinned) == {_label(k) for k in all_keys()}

@@ -40,6 +40,7 @@ from biased_consensus import (
     run,
     validate_scenario,
 )
+from biased_consensus.simnet import correct_live
 
 V = b"v"
 U = b"u"
@@ -189,8 +190,8 @@ def _reference_seeded_choices(rn: Runner) -> list[tuple]:
 
 
 @st.composite
-def _seeded_systems(draw):
-    n = draw(st.integers(3, 12))
+def _seeded_systems(draw, max_n=12, mimic=False):
+    n = draw(st.integers(3, max_n))
     model = draw(st.sampled_from(list(FailureModel)))
     timeout = model is FailureModel.BYZANTINE_CLASSICAL and draw(st.booleans())
     aware = model is FailureModel.BYZANTINE_EXTERNAL and draw(st.booleans())
@@ -200,10 +201,13 @@ def _seeded_systems(draw):
         FailureModel.BYZANTINE_EXTERNAL: 3,
     }[model]
     f = (n - 1) // divisor
-    vals = draw(st.lists(st.sampled_from((V, U)), min_size=n, max_size=n))
+    # Lean towards the preferred value when fast deciders are the subject.
+    pool = (V, V, V, U) if mimic else (V, U)
+    vals = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
     kinds = [] if timeout else ["crash"]
     if model is not FailureModel.BENIGN:
-        kinds += ["silent", "equivocate"]
+        kinds += ["silent", "equivocate"] + (["mimic"] if mimic else [])
+    proof = (lambda v: b"p" + v) if aware else (lambda v: b"")
     faults = [Correct()] * n
     for node in draw(st.sets(st.integers(0, n - 1), max_size=f)):
         kind = draw(st.sampled_from(kinds))
@@ -211,10 +215,12 @@ def _seeded_systems(draw):
             faults[node] = CrashAt(draw(st.integers(0, 4 * n)))
         elif kind == "silent":
             faults[node] = Byzantine(Silent())
+        elif kind == "mimic":
+            value = draw(st.sampled_from(pool))
+            faults[node] = Byzantine(MimicHonest(FullValue(value, proof(value))))
         else:
             targets = draw(st.frozensets(st.integers(0, n - 1)))
             faults[node] = Byzantine(Equivocate(V, U, targets))
-    proof = (lambda v: b"p" + v) if aware else (lambda v: b"")
     cfg = OptimizerConfig(
         n, f, FullValue(V, proof(V)), model,
         variant=Variant.PROOF_AWARE if aware else Variant.PROOF_OBLIVIOUS,
@@ -316,6 +322,80 @@ def test_the_head_test_meets_every_near_miss():
         "timer with proposals pending", "pick outside the legal set",
     }, seen
     assert seen["listed"] > seen["pick outside the legal set"] > 0
+
+
+def _reference_bystanders(rn: Runner) -> list[int]:
+    """The per-event scan the bystander set replaced: every correct live
+    node that fast-decided, has not joined the base and was sent no wakeup."""
+    return [
+        node
+        for node in correct_live(rn.sc.faults, rn.crashed)
+        if rn.machines[node].phase is Phase.FAST_DECIDED
+        and not rn.machines[node].joined_base
+        and node not in rn.observed
+    ]
+
+
+def _check_the_bystander_set(sc: Scenario, seed: int, clone_at: int) -> Counter:
+    """Drive sc through random scripted choices, leaning towards lost BASE
+    wakeups and towards crashing their senders; after every step the
+    bystander set must list what the scan finds.  At step clone_at a clone
+    runs to the end first, and the original is checked after it.  Counts
+    what the run met."""
+    rng = random.Random(seed)
+    seen: Counter = Counter()
+
+    def drive(rn: Runner) -> None:
+        while True:
+            assert sorted(rn._unwoken) == _reference_bystanders(rn)
+            assert not rn.observed & rn.is_byz   # only correct nodes are woken
+            if rn.event_index == clone_at and "clone" not in seen:
+                seen["clone"] += 1
+                drive(rn.clone())
+                assert sorted(rn._unwoken) == _reference_bystanders(rn)
+            choices = rn.enabled_choices("scripted")
+            if not choices:
+                return
+            wakeups = [c for c in choices if c[3:4] == ("base",)]
+            drops = [c for c in wakeups if c[0] == "drop"]
+            senders = [("crash", c[1]) for c in wakeups if ("crash", c[1]) in choices]
+            if drops and rng.random() < 0.7:
+                choice = rng.choice(drops)
+                seen["rearmed"] += rn.machines[choice[2]].phase is Phase.FAST_DECIDED
+            elif senders and rng.random() < 0.5:
+                choice = rng.choice(senders)
+            else:
+                choice = rng.choice(choices)
+            seen["crash"] += choice[0] == "crash"
+            rn.apply_choice(choice)
+
+    rn = Runner(sc, record_trace=False)
+    rn.start_batch()
+    drive(rn)
+    return seen
+
+
+@settings(max_examples=150, deadline=None)
+@given(_seeded_systems(max_n=9, mimic=True), st.integers(0, 2**32), st.integers(0, 60))
+def test_the_bystander_set_lists_what_the_scan_finds(sc, seed, clone_at):
+    _check_the_bystander_set(sc, seed, clone_at)
+
+
+def test_the_bystander_set_meets_lost_wakeups_and_mimics():
+    seen: Counter = Counter()
+    crashy = _scenario(
+        5, 2, FailureModel.BENIGN, (V, V, V, U, V),
+        (Correct(), CrashAt(3), Correct(), Correct(), Correct()), Seeded(0),
+    )
+    mimics = _scenario(
+        5, 1, FailureModel.BYZANTINE_CLASSICAL, (V, V, V, U, V),
+        (Correct(), Correct(), Correct(), Correct(), Byzantine(MimicHonest(FullValue(V)))),
+        Seeded(0),
+    )
+    for sc in (crashy, mimics):
+        for seed in range(20):
+            seen += _check_the_bystander_set(sc, seed, seed % 8)
+    assert seen["rearmed"] > 0 and seen["crash"] > 0 and seen["clone"] > 0, seen
 
 
 def test_script_with_leftover_steps_is_rejected():
@@ -644,6 +724,9 @@ _RUNNER_NOT_STATE = {
     # and the sizes the legal set was last computed for.
     "_next_slot", "_slots", "_proposals_to", "_tree", "_gates",
     "_legal_sizes",
+    # Derived from machines, observed and crashed: the bystanders still to
+    # be sent a wakeup.
+    "_unwoken",
 }
 _MACHINE_NOT_STATE = {
     # Fixed at construction, or (started) set once by start().
