@@ -11,7 +11,13 @@ import argparse
 import json
 import sys
 
-from .core import ConfigError, MissingGolden, NonQuiescence, ProtocolError
+from .core import (
+    ConfigError,
+    MissingGolden,
+    NonQuiescence,
+    ProtocolError,
+    ScenarioInvalid,
+)
 from .explore import explore
 from .harness import (
     load_scenario,
@@ -41,6 +47,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _at_least_one(text: str) -> int:
+    """An integer of at least 1, the floor scenario files set for counts."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="bcsim", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -62,16 +79,16 @@ def _build_parser() -> _Parser:
     exp = sub.add_parser("explore", help="search all interleavings of a scenario")
     exp.add_argument("--scenario", required=True)
     exp.add_argument(
-        "--depth", type=int, default=None, help="total explored-event budget"
+        "--depth", type=_at_least_one, default=None, help="total explored-event budget"
     )
     exp.add_argument(
-        "--leaves", type=int, default=None, help="maximum number of leaves"
+        "--leaves", type=_at_least_one, default=None, help="maximum number of leaves"
     )
     exp.add_argument("--witness-out", default=None)
 
     camp = sub.add_parser("campaign", help="seeded batch of randomized runs")
     camp.add_argument("--scenario", required=True, help="template scenario file")
-    camp.add_argument("--runs", type=int, required=True)
+    camp.add_argument("--runs", type=_at_least_one, required=True)
     camp.add_argument("--seed", type=int, required=True)
     camp.add_argument("--summary", help="write the campaign report (JSON) here")
 
@@ -106,7 +123,10 @@ def _cmd_run(args) -> int:
     if args.script:
         with open(args.script, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        sc.schedule = Scripted(tuple(tuple(s) for s in doc["steps"]))
+        steps = doc.get("steps") if isinstance(doc, dict) else None
+        if not isinstance(steps, list):
+            raise ScenarioInvalid(f"{args.script}: a witness is an object with a list of steps")
+        sc.schedule = Scripted(tuple(steps))   # the runner checks each step
     trace = run(sc)
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:

@@ -301,7 +301,7 @@ def _persistent(enabled: list[tuple], rn: Runner) -> list[tuple]:
     - votes go out only at start, so any other envelope a node outside the
       set can send a member is a base wakeup, which conflicts only with the
       member's crash: a set holding the crash of a node that fast-decided,
-      has not joined and was never observed is dropped.
+      has not joined and is still in the bystander set is dropped.
     Decisions exist only after the pick, and a timer only waits on its own
     node's inbox.  The smallest closed set over all starts wins; with none,
     every choice.
@@ -323,13 +323,12 @@ def _persistent(enabled: list[tuple], rn: Runner) -> list[tuple]:
     crashing = {c[1] for c in enabled if c[0] == "crash"}
     streams = {c[1:4] for c in enabled if c[0] == "deliver"}
     machines, proposed = rn.machines, rn.base.proposals
-    unwoken = {x for x in crashing if machines[x].phase is Phase.FAST_DECIDED
-               and not machines[x].joined_base and x not in rn.observed}
+    unwoken = crashing & rn._unwoken
 
     @cache
     def needs(x: int) -> set[int]:
         if x == base:
-            if rn.pick_enabled:
+            if rn.open_picks():
                 return crashing
             return set([p for p in rn._correct_live() if p not in proposed][:1])
         out = {c[1] for c, o in zip(enabled, owners)

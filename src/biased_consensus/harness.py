@@ -98,6 +98,20 @@ def _int(value: Any, what: str) -> int:
     return value
 
 
+def _timeout(value: Any) -> float | None:
+    """sync_timeout: null, or a positive number; a bool is no number here."""
+    if value is None or type(value) in (int, float) and value > 0:
+        return value
+    raise ScenarioInvalid(f"sync_timeout must be null or a positive number, got {value!r}")
+
+
+def _text(obj: dict, key: str) -> str:
+    value = obj.get(key, "")
+    if not isinstance(value, str):
+        raise ScenarioInvalid(f"{key} must be a string, got {value!r}")
+    return value
+
+
 def _count(obj: dict, key: str, default: int, least: int) -> int:
     value = obj.get(key, default)
     if type(value) is not int or value < least:
@@ -289,7 +303,7 @@ def scenario_from_obj(obj: dict) -> Scenario:
             ),
             model=FailureModel(system["model"]),
             variant=Variant(system.get("variant", "proof_oblivious")),
-            sync_timeout=system.get("sync_timeout"),
+            sync_timeout=_timeout(system.get("sync_timeout")),
             binary_domain=_flag(system, "binary_domain", False),
             straw_man=_flag(system, "straw_man", False),
         )
@@ -320,7 +334,7 @@ def scenario_from_obj(obj: dict) -> Scenario:
             validity=validity,
             validity_default=_flag(validity_obj, "default", True),
             base=system.get("base", "oracle"),
-            name=str(system.get("name", "")),
+            name=_text(system, "name"),
         )
     except ScenarioInvalid:
         raise

@@ -118,6 +118,21 @@ def _deliver(src: NodeId, dst: NodeId) -> tuple:
     return ("deliver", src, dst, MsgKind.PROPOSAL.value)
 
 
+def _stage(
+    fast: list[NodeId], slow: list[NodeId], byz: list[NodeId], adopt: int, f: int
+) -> list[tuple]:
+    """Votes for a split round: each fast node hears the other fast nodes
+    and the Byzantine ones, a unanimous quorum; each slow node hears f - 1
+    slow peers, the Byzantine nodes, then the first adopt fast nodes."""
+    steps: list[tuple] = []
+    for p in fast:
+        steps.extend(_deliver(src, p) for src in fast + byz if src != p)
+    for q in slow:
+        others = [x for x in slow if x != q][: f - 1]
+        steps.extend(_deliver(src, q) for src in others + byz + fast[:adopt])
+    return steps
+
+
 def figure1_benign(f: int) -> NamedScenario:
     """Benign worst case at n = 2f + 1.
 
@@ -130,18 +145,11 @@ def figure1_benign(f: int) -> NamedScenario:
     v_side = list(range(0, f + 1))
     u_side = list(range(f + 1, n))
     initial = tuple(FullValue(V if i in v_side else U) for i in range(n))
-    steps: list[tuple] = []
-    for p in v_side:
-        steps.extend(_deliver(src, p) for src in v_side if src != p)
-    for q in u_side:
-        others = [x for x in u_side if x != q][: f - 1]
-        steps.extend(_deliver(src, q) for src in others)
-        steps.append(_deliver(v_side[0], q))
     sc = Scenario(
         cfg=cfg,
         initial_values=initial,
         faults=tuple(Correct() for _ in range(n)),
-        schedule=Scripted(tuple(steps)),
+        schedule=Scripted(tuple(_stage(v_side, u_side, [], 1, f))),
         name=f"figure1-benign-f{f}",
     )
     return NamedScenario(sc.name, sc, MixedPathsDecide(V))
@@ -178,14 +186,7 @@ def figure2_classical(f: int, byz_silent: bool = False) -> NamedScenario:
             )
         expected: Expectation = AllDecide(V, path="base")
     else:
-        for p in v_side:
-            steps.extend(_deliver(src, p) for src in v_side if src != p)
-            steps.extend(_deliver(b, p) for b in byz)
-        for q in u_side:
-            others = [x for x in u_side if x != q][: f - 1]
-            steps.extend(_deliver(src, q) for src in others)
-            steps.extend(_deliver(b, q) for b in byz)
-            steps.extend(_deliver(src, q) for src in v_side[: f + 1])
+        steps = _stage(v_side, u_side, byz, f + 1, f)
         expected = MixedPathsDecide(V)
     name = f"figure2-classical-f{f}" + ("-silent" if byz_silent else "")
     sc = Scenario(
@@ -215,23 +216,16 @@ def figure3_external(f: int, preferred_valid: bool = True) -> NamedScenario:
     u_side = list(range(f + 1, 2 * f + 1))
     byz = list(range(2 * f + 1, n))
     initial = tuple(FullValue(V if i in v_side else U) for i in range(n))
-    steps: list[tuple] = []
     if preferred_valid:
         strategy: object = Equivocate(V, U, frozenset(v_side))
         validity: dict[bytes, bool] = {}
-        for p in v_side:
-            steps.extend(_deliver(src, p) for src in v_side if src != p)
-            steps.extend(_deliver(b, p) for b in byz)
-        for q in u_side:
-            others = [x for x in u_side if x != q][: f - 1]
-            steps.extend(_deliver(src, q) for src in others)
-            steps.extend(_deliver(b, q) for b in byz)
-            steps.append(_deliver(v_side[0], q))
+        steps = _stage(v_side, u_side, byz, 1, f)
         expected: Expectation = MixedPathsDecide(V)
         name = f"figure3-external-f{f}"
     else:
         strategy = Silent()
         validity = {V: False}
+        steps = []
         for p in v_side:
             steps.extend(_deliver(src, p) for src in v_side if src != p)
             steps.extend(_deliver(src, p) for src in u_side)
@@ -299,15 +293,6 @@ def lower_bound_sigma(f: int) -> list[NamedScenario]:
     initial2 = tuple(
         FullValue(V if i in p1_side else U) for i in range(n)
     )
-    steps2: list[tuple] = []
-    for p in p1_side:
-        steps2.extend(_deliver(src, p) for src in p1_side if src != p)
-        steps2.extend(_deliver(b, p) for b in byz)
-    for q in p2_side:
-        others = [x for x in p2_side if x != q][: f - 1]
-        steps2.extend(_deliver(src, q) for src in others)
-        steps2.extend(_deliver(b, q) for b in byz)
-        steps2.append(_deliver(p1_side[0], q))
     s2 = Scenario(
         cfg=cfg,
         initial_values=initial2,
@@ -315,7 +300,7 @@ def lower_bound_sigma(f: int) -> list[NamedScenario]:
             Byzantine(Equivocate(V, U, frozenset(p1_side))) if i in byz else Correct()
             for i in range(n)
         ),
-        schedule=Scripted(tuple(steps2)),
+        schedule=Scripted(tuple(_stage(p1_side, p2_side, byz, 1, f))),
         name=f"sigma2-f{f}",
     )
     sigma2 = NamedScenario(s2.name, s2, MixedPathsDecide(V))

@@ -11,8 +11,9 @@ Scheduling modes:
              fully recorded script replays a run byte-by-byte
   Exhaustive all interleavings, driven by the explorer
 
-Every run ends with an audit: one base proposal and one decision per correct
-node at most, agreement, and the failure model's validity property.  Breaches
+Every run is audited: a correct node's second base proposal and any node's
+second decision are recorded as they happen, and the run ends with checks of
+termination, agreement and the failure model's validity property.  Breaches
 land in Trace.violations rather than raising, so adversarial searches can
 count them.
 """
@@ -144,8 +145,9 @@ Fault = Union[Correct, CrashAt, Byzantine]
 
 
 def correct_live(faults: Sequence[Fault], crashed: Container[NodeId]) -> list[NodeId]:
-    """Correct and live nodes: neither Byzantine nor crashed.  Each runs a
-    machine; only never-started crashers and non-mimicking Byzantines lack one."""
+    """The nodes the audit holds to the protocol: neither Byzantine nor
+    crashed (yet).  Each runs a machine, as do MimicHonest Byzantines and
+    crashers before their crash."""
     return [
         i
         for i, fl in enumerate(faults)
@@ -229,7 +231,7 @@ def validate_scenario(sc: Scenario) -> Scenario:
     crash = [i for i, fl in enumerate(sc.faults) if isinstance(fl, CrashAt)]
     if byz and cfg.model is FailureModel.BENIGN:
         raise ScenarioInvalid("Byzantine faults under the benign model")
-    if not cfg.straw_man and len(byz) + len(crash) > cfg.f:
+    if len(byz) + len(crash) > cfg.f:
         raise ScenarioInvalid(
             f"{len(byz) + len(crash)} actual faults exceed f={cfg.f}"
         )
@@ -361,6 +363,9 @@ class Runner:
         self.budget = event_budget()
 
         n = self.cfg.n
+        # A machine per node that runs the protocol and therefore receives
+        # messages: everyone except never-started crashers and non-mimicking
+        # Byzantines, whose entries stay None.
         self.machines: list[object | None] = [None] * n
         self.is_byz: set[NodeId] = set()
         self.crashed: set[NodeId] = set()
@@ -368,16 +373,10 @@ class Runner:
         for i, fl in enumerate(scenario.faults):
             if isinstance(fl, Byzantine):
                 self.is_byz.add(i)
-        # Nodes that run a protocol machine and therefore receive messages:
-        # everyone except never-started crashers and non-mimicking Byzantines.
-        self.machine_nodes: frozenset[NodeId] = frozenset(
-            i
-            for i, fl in enumerate(scenario.faults)
-            if not (isinstance(fl, CrashAt) and fl.at_event == 0)
-            and not (
-                isinstance(fl, Byzantine) and not isinstance(fl.strategy, MimicHonest)
-            )
-        )
+                if isinstance(fl.strategy, MimicHonest):
+                    self.machines[i] = self._machine_for(i, fl.strategy.value)
+            elif not (isinstance(fl, CrashAt) and fl.at_event == 0):
+                self.machines[i] = self._machine_for(i, scenario.initial_values[i])
 
         # Pending events by slot, in the order choices list them, and indexes
         # derived from them: the slots of each stream in seq order, keyed by
@@ -395,23 +394,18 @@ class Runner:
         self.event_index = 0
         self.base = BaseInstance()
         self.flavor = flavor_for(self.cfg)
-        self.base_active = False
-        self.byz_activator: NodeId | None = None
-        self.byz_activation_val: bytes | None = None
-        self.observed: set[NodeId] = set()
-        # What the bystander scan would find: correct live fast-deciders
-        # that have neither joined the base nor been sent a wakeup.
+        # The Byzantine node and value that opened the base instance, when
+        # one proposed before any correct node did.
+        self.byz_activator: tuple[NodeId, bytes] | None = None
+        # Correct live fast-deciders that have neither joined the base nor
+        # been sent a wakeup (the bystanders).
         self._unwoken: set[NodeId] = set()
-        self.pick_enabled = False
         self.pick_done = False
         self.base_legal: list[bytes] = []
-        self.base_decision: bytes | None = None
         self.base_decisions: dict[NodeId, bytes] = {}
         self.counters = {
             k.value: {"msgs": 0, "val_bytes": 0, "proof_bytes": 0} for k in MsgKind
         }
-        self.propose_count: dict[NodeId, int] = {i: 0 for i in range(n)}
-        self.decide_count: dict[NodeId, int] = {i: 0 for i in range(n)}
         self.decisions: dict[NodeId, DecisionRecord] = {}
         self.violations: list[tuple[str, str]] = []
         self.events: list[dict] = []
@@ -433,7 +427,7 @@ class Runner:
     def start_batch(self) -> None:
         assert not self._started
         self._started = True
-        for node in range(self.cfg.n):
+        for node, machine in enumerate(self.machines):
             fl = self.sc.faults[node]
             if isinstance(fl, CrashAt) and fl.at_event == 0:
                 self.crashed.add(node)
@@ -442,24 +436,16 @@ class Runner:
             if isinstance(fl, CrashAt):
                 self.crash_after[node] = fl.at_event
                 self._add(("crash", node))
-            if isinstance(fl, Byzantine) and not isinstance(fl.strategy, MimicHonest):
-                sends = byzantine_emit(fl.strategy, node, self.cfg.n)
-                rec = {"ev": "start", "node": node, "actions": []} if self.record_trace else None
-                for src, dst, kind, val, proof in sends:
+            rec = {"ev": "start", "node": node, "actions": []} if self.record_trace else None
+            if machine is not None:
+                self._apply_actions(node, machine.start(), rec)
+            else:
+                for src, dst, kind, val, proof in byzantine_emit(
+                    fl.strategy, node, self.cfg.n
+                ):
                     env = self._emit(src, dst, kind, val, proof)
                     if rec is not None:
                         rec["actions"].append(_fmt_send(dst, kind, val, proof, env.seq))
-                self._trace_event(rec)
-                continue
-            value = (
-                fl.strategy.value
-                if isinstance(fl, Byzantine)
-                else self.sc.initial_values[node]
-            )
-            machine = self._machine_for(node, value)
-            self.machines[node] = machine
-            rec = {"ev": "start", "node": node, "actions": []} if self.record_trace else None
-            self._apply_actions(node, machine.start(), rec)
             self._trace_event(rec)
         if self.cfg.sync_timeout is not None:
             for node in range(self.cfg.n):
@@ -476,7 +462,7 @@ class Runner:
         c["msgs"] += 1
         c["val_bytes"] += len(val)
         c["proof_bytes"] += len(proof)
-        if dst not in self.crashed and dst in self.machine_nodes:
+        if self.machines[dst] is not None and dst not in self.crashed:
             self._add(("deliver", env))
         return env
 
@@ -496,19 +482,20 @@ class Runner:
                 if out is not None:
                     out.append(_fmt_send(a.to, a.kind, a.val, a.proof, env.seq))
             elif isinstance(a, ProposeToBase):
-                self.propose_count[node] += 1
-                if node not in self.is_byz:
+                if node in self.is_byz:
+                    if not (self.base.proposals or self.byz_activator):
+                        self.byz_activator = (node, a.value.val)
+                elif node in self.base.proposals:
+                    self.violations.append(
+                        ("join-once", f"node {node} proposed more than once")
+                    )
+                else:
                     self.base.propose(node, a.value)
-                elif not self.base_active:
-                    self.byz_activator = node
-                    self.byz_activation_val = a.value.val
-                self.base_active = True
                 self._unwoken.discard(node)
                 if out is not None:
                     out.append(f"propose {a.value.val.hex()} {a.value.proof.hex()}")
             elif isinstance(a, Decide):
-                self.decide_count[node] += 1
-                if self.decide_count[node] > 1:
+                if node in self.decisions:
                     self.violations.append(
                         ("decide-once", f"node {node} decided more than once")
                     )
@@ -534,18 +521,20 @@ class Runner:
         for p in sorted(self.base.proposals):
             if p not in self.crashed:
                 return p, self.base.proposals[p].val
-        if self.byz_activator is not None:
-            return self.byz_activator, self.byz_activation_val
-        return None
+        return self.byz_activator
+
+    def open_picks(self) -> Sequence[bytes]:
+        """The values a pick may still decide: the legal set until the base
+        instance is settled, nothing before it is computed or after."""
+        return () if self.pick_done else self.base_legal
 
     def _post_event(self) -> None:
-        if not self.base_active or self.pick_done:
+        if self.pick_done or not (self.base.proposals or self.byz_activator):
             return
         src = self._base_traffic_source() if self._unwoken else None
         if src is not None:
             # In id order, the order a scan of the nodes would wake them.
             for node in sorted(self._unwoken):
-                self.observed.add(node)
                 self._emit(src[0], node, MsgKind.BASE, src[1], b"")
             self._unwoken.clear()
         live = self._correct_live()
@@ -554,22 +543,19 @@ class Runner:
         if not live:
             # Nobody is left to referee the instance — and nobody is left
             # waiting on a decision either.
-            self.pick_enabled = False
             self.pick_done = True
         elif sizes != self._legal_sizes and all(p in self.base.proposals for p in live):
             self._legal_sizes = sizes
             crashed_proposers = [p for p in self.base.proposals if p in self.crashed]
-            newly = not self.pick_enabled
+            newly = not self.base_legal
             try:
                 # A crash can shrink the legal set (a dead proposer no longer
                 # blocks unanimity).
                 self.base_legal = self.base.legal_decisions(
                     self.flavor, live, crashed_proposers, self.valid
                 )
-                self.pick_enabled = True
             except NoLegalValue as e:
                 self.violations.append(("no-legal-value", str(e)))
-                self.pick_enabled = False
                 self.pick_done = True
                 return
             if newly and self.sc.base != "oracle":
@@ -577,7 +563,6 @@ class Runner:
 
     def _run_concrete_base(self) -> None:
         """Settle the instance with a real sync-round protocol, not a pick."""
-        self.pick_enabled = False
         self.pick_done = True
         proposals = {
             p: fv.val
@@ -653,8 +638,7 @@ class Runner:
                     out.append(("drop", *key, k))
             elif tag != "timer" or not self._proposals_to[x]:
                 out.append((tag, x))
-        if self.pick_enabled and not self.pick_done:
-            out.extend(("pick", v.hex()) for v in self.base_legal)
+        out.extend(("pick", v.hex()) for v in self.open_picks())
         return out
 
     def apply_choice(self, choice: tuple) -> None:
@@ -664,8 +648,6 @@ class Runner:
             value = bytes.fromhex(choice[1])
             self.base.decide(value, self.base_legal)
             self.pick_done = True
-            self.pick_enabled = False
-            self.base_decision = value
             self._trace_event(
                 {
                     "ev": "pick",
@@ -806,7 +788,6 @@ class Runner:
         if env.kindval == _BASE and dst not in self.crashed:
             # The wakeup was lost in flight; rearm so another live
             # participant's traffic can reach the bystander.
-            self.observed.discard(dst)
             m = self.machines[dst]
             if m.phase is Phase.FAST_DECIDED and not m.joined_base:
                 self._unwoken.add(dst)
@@ -815,7 +796,7 @@ class Runner:
         )
 
     def _dispatch_decision(self, node: NodeId) -> None:
-        value = self.base_decisions.get(node, self.base_decision)
+        value = self.base_decisions.get(node, self.base.decided)
         rec = None
         if self.record_trace:
             rec = {"ev": "decision", "node": node, "val": value.hex(), "actions": []}
@@ -921,8 +902,7 @@ class Runner:
         if len(step) != 2:
             return False
         if tag == "pick":
-            legal = self.base_legal if self.pick_enabled and not self.pick_done else ()
-            return step[1] in [v.hex() for v in legal]
+            return step[1] in [v.hex() for v in self.open_picks()]
         return step in self._slots and not (tag == "timer" and self._proposals_to[step[1]])
 
     def _fifo_skipped(self, choice: tuple) -> bool:
@@ -954,14 +934,6 @@ class Runner:
         if len(set(decided.values())) > 1:
             detail = ", ".join(f"{n}:{v.hex()}" for n, v in sorted(decided.items()))
             self.violations.append(("agreement", detail))
-        for node in live:
-            if self.propose_count[node] > 1:
-                self.violations.append(
-                    (
-                        "join-once",
-                        f"node {node} proposed {self.propose_count[node]} times",
-                    )
-                )
         correct_ids = [
             i
             for i in range(self.cfg.n)
@@ -1055,12 +1027,9 @@ class Runner:
         dup.base = BaseInstance()
         dup.base.proposals = dict(self.base.proposals)
         dup.base.decided = self.base.decided
-        dup.observed = set(self.observed)
         dup._unwoken = set(self._unwoken)
         dup.base_decisions = dict(self.base_decisions)
         dup.counters = {k: dict(v) for k, v in self.counters.items()}
-        dup.propose_count = dict(self.propose_count)
-        dup.decide_count = dict(self.decide_count)
         dup.decisions = dict(self.decisions)
         dup.violations = list(self.violations)
         dup.applied = list(self.applied)
@@ -1071,8 +1040,11 @@ class Runner:
         or the leaf outcome, as a tuple of hashable parts: one machine key
         and one inbox per node, then the rest.  An inbox groups pending
         envelopes by stream in seq order, the order a choice's occurrence
-        index counts.  Left out: counters, seq, event_index (explore never
-        gates crashes on it), applied, events and decision event indices."""
+        index counts.  Left out: the scenario and the settings fixed with
+        it; history no future step reads (counters, seq, event_index, which
+        explore never gates crashes on, applied, events and decision event
+        indices, violation details); and the indexes and caches derived from
+        the key's parts (over pending, correct_live and the legal set)."""
         inbox: list[list[tuple]] = [[] for _ in self.machines]
         other = []
         for ev in self.pending.values():
@@ -1084,15 +1056,13 @@ class Runner:
         base = self.base
         rest = (
             tuple(sorted(other)), tuple(sorted(self.crashed)),
-            tuple(sorted(self.observed)),
+            tuple(sorted(self._unwoken)),
             # The base instance.
             tuple((p, fv.val, fv.proof) for p, fv in sorted(base.proposals.items())),
-            base.decided, self.base_active, self.byz_activator, self.byz_activation_val,
-            self.pick_enabled, self.pick_done, tuple(self.base_legal),
-            self.base_decision, tuple(sorted(self.base_decisions.items())),
+            base.decided, self.byz_activator, self.pick_done, tuple(self.base_legal),
+            tuple(sorted(self.base_decisions.items())),
             # The audit's inputs.
             tuple((d, r.value, r.path) for d, r in sorted(self.decisions.items())),
-            tuple(self.propose_count.values()), tuple(self.decide_count.values()),
             tuple(sorted({k for k, _ in self.violations})),
         )
         stream = itemgetter(0, 1)   # (src, kind); the sort is stable, seq order stays
@@ -1149,7 +1119,7 @@ class _SeededChoices(Sequence):
     def __init__(self, rn: Runner):
         self.rn = rn
         self.units = rn._tree.total
-        self.picks = rn.base_legal if rn.pick_enabled and not rn.pick_done else ()
+        self.picks = rn.open_picks()
 
     def __len__(self) -> int:
         return self.units + len(self.picks)

@@ -16,6 +16,7 @@ import dataclasses
 import itertools
 import random
 import time
+from collections import Counter
 from pathlib import Path
 
 from biased_consensus import (
@@ -336,13 +337,20 @@ def test_criterion_6_join_once_and_decide_once_audits():
         for sc in reps:
             rn = Runner(sc)
             rn.run()
+            # Recount from the traced actions, not from the runner's books.
+            proposals, decisions = Counter(), Counter()
+            for ev in rn.events:
+                node = ev["dst"] if ev["ev"] == "deliver" else ev.get("node")
+                for line in ev.get("actions", ()):
+                    proposals[node] += line.startswith("propose ")
+                    decisions[node] += line.startswith("decide ")
             _need(
-                all(c <= 1 for c in rn.propose_count.values()),
+                all(c <= 1 for c in proposals.values()),
                 f"{sc.name}: a node proposed twice",
             )
             _need(
-                all(rn.decide_count[i] == 1 for i in rn._correct_live()),
-                f"{sc.name}: a correct node decided {max(rn.decide_count.values())}x",
+                all(decisions[i] == 1 for i in rn._correct_live()),
+                f"{sc.name}: a correct node decided {max(decisions.values())}x",
             )
         return (
             f"no join-once/decide-once audit fired across "

@@ -156,12 +156,31 @@ def _arbitrary(**send) -> dict:
         (0, ("system", "n"), 3.0, "n must be an integer, got 3.0"),
         (0, ("system", "f"), "1", "f must be an integer, got '1'"),
         (0, ("system", "f"), True, "f must be an integer, got True"),
+        # A timeout that is no positive number, and a name that is no string.
+        (1, ("system", "sync_timeout"), False,
+         "sync_timeout must be null or a positive number, got False"),
+        (1, ("system", "sync_timeout"), "soon",
+         "sync_timeout must be null or a positive number, got 'soon'"),
+        (1, ("system", "sync_timeout"), 0, "sync_timeout must be null or a positive number, got 0"),
+        (1, ("system", "sync_timeout"), -3, "sync_timeout must be null or a positive number, got -3"),
+        (1, ("system", "sync_timeout"), [1],
+         r"sync_timeout must be null or a positive number, got \[1\]"),
+        (0, ("system", "name"), 12, "name must be a string, got 12"),
     ],
 )
 def test_strategies_nodes_and_integers_are_read_strictly(golden, path, value, match):
     base = json.loads(serialize_scenario(golden_set()[golden].scenario))
     with pytest.raises(ScenarioInvalid, match=match):
         parse_scenario(json.dumps(_set(base, path, value)))
+
+
+@pytest.mark.parametrize("timeout", [2.5, 3])
+def test_a_positive_timeout_parses_and_round_trips(timeout):
+    base = json.loads(serialize_scenario(golden_set()[1].scenario))
+    base["system"]["sync_timeout"] = timeout
+    sc = parse_scenario(json.dumps(base))
+    assert sc.cfg.sync_timeout == timeout
+    assert json.loads(serialize_scenario(sc)) == base
 
 
 def test_a_well_formed_arbitrary_strategy_still_parses():
@@ -449,6 +468,33 @@ def test_cli_operator_errors_exit_one(tmp_path):
     assert strict.returncode == 1
     _assert_cli_started(strict)
     assert strict.stderr.startswith("error: n must be an integer, got '3'"), strict.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("explore", "--depth", "0"),
+        ("explore", "--leaves", "-3"),
+        ("campaign", "--runs", "-5", "--seed", "1"),
+    ],
+)
+def test_cli_counts_below_one_exit_one(tmp_path, argv):
+    (tmp_path / "golden.json").write_text(serialize_scenario(golden_set()[0].scenario))
+    bad = _cli(*argv[:1], "--scenario", "golden.json", *argv[1:], cwd=tmp_path)
+    assert bad.returncode == 1
+    _assert_cli_started(bad)
+    assert f"error: argument {argv[1]}: expected an integer >= 1" in bad.stderr, bad.stderr
+    assert "no violations" not in bad.stdout
+
+
+@pytest.mark.parametrize("doc", [{}, [], {"steps": {"0": ["timer", 0]}}])
+def test_cli_rejects_a_witness_without_a_list_of_steps(tmp_path, doc):
+    (tmp_path / "golden.json").write_text(serialize_scenario(golden_set()[0].scenario))
+    (tmp_path / "witness.json").write_text(json.dumps(doc))
+    bad = _cli("run", "--scenario", "golden.json", "--script", "witness.json", cwd=tmp_path)
+    assert bad.returncode == 1
+    _assert_cli_started(bad)
+    assert bad.stderr.startswith("error: witness.json: a witness is an object"), bad.stderr
 
 
 def test_cli_rejects_a_malformed_witness_script(tmp_path):

@@ -26,7 +26,9 @@ from biased_consensus import (
     MsgKind,
     NonQuiescence,
     OptimizerConfig,
+    OptimizerNode,
     Phase,
+    ProposeToBase,
     Runner,
     Scenario,
     ScenarioInvalid,
@@ -36,6 +38,7 @@ from biased_consensus import (
     Variant,
     VoteSet,
     byzantine_emit,
+    figure1_benign,
     lower_bound_sigma,
     run,
     validate_scenario,
@@ -181,7 +184,7 @@ def _reference_seeded_choices(rn: Runner) -> list[tuple]:
         elif rn.event_index >= rn.crash_after.get(x, 0):
             out.append((tag, x))
             only_gated_crashes = False
-    if rn.pick_enabled and not rn.pick_done:
+    if rn.base_legal and not rn.pick_done:
         out.extend(("pick", v.hex()) for v in rn.base_legal)
         only_gated_crashes = False
     if only_gated_crashes:
@@ -282,7 +285,7 @@ def _check_the_head_test(sc: Scenario, seed: int) -> Counter:
         for node in range(sc.cfg.n):
             if ("timer", node) in rn._slots and rn._proposals_to[node]:
                 probes.append((("timer", node), "timer with proposals pending"))
-        if rn.pick_enabled and not rn.pick_done:
+        if rn.base_legal and not rn.pick_done:
             for v in (V, U, b"w"):
                 if v not in rn.base_legal:
                     probes.append((("pick", v.hex()), "pick outside the legal set"))
@@ -324,15 +327,25 @@ def test_the_head_test_meets_every_near_miss():
     assert seen["listed"] > seen["pick outside the legal set"] > 0
 
 
+def _woken(rn: Runner) -> set[int]:
+    """Nodes with a wakeup in flight: a pending BASE envelope to them."""
+    return {
+        x.dst for tag, x in rn.pending.values()
+        if tag == "deliver" and x.kind is MsgKind.BASE
+    }
+
+
 def _reference_bystanders(rn: Runner) -> list[int]:
     """The per-event scan the bystander set replaced: every correct live
-    node that fast-decided, has not joined the base and was sent no wakeup."""
+    node that fast-decided, has not joined the base and has no wakeup in
+    flight."""
+    woken = _woken(rn)
     return [
         node
         for node in correct_live(rn.sc.faults, rn.crashed)
         if rn.machines[node].phase is Phase.FAST_DECIDED
         and not rn.machines[node].joined_base
-        and node not in rn.observed
+        and node not in woken
     ]
 
 
@@ -348,7 +361,7 @@ def _check_the_bystander_set(sc: Scenario, seed: int, clone_at: int) -> Counter:
     def drive(rn: Runner) -> None:
         while True:
             assert sorted(rn._unwoken) == _reference_bystanders(rn)
-            assert not rn.observed & rn.is_byz   # only correct nodes are woken
+            assert not _woken(rn) & rn.is_byz   # only correct nodes are woken
             if rn.event_index == clone_at and "clone" not in seen:
                 seen["clone"] += 1
                 drive(rn.clone())
@@ -426,6 +439,10 @@ def test_envelope_is_frozen_and_caches_its_kind():
         env.val = U
 
 
+def _machine_nodes(sc: Scenario) -> set[int]:
+    return {i for i, m in enumerate(Runner(sc).machines) if m is not None}
+
+
 def test_machine_nodes_classification():
     classical = _scenario(
         5,
@@ -435,7 +452,7 @@ def test_machine_nodes_classification():
         (Correct(), Correct(), Correct(), Correct(), Byzantine(Silent())),
         Seeded(0),
     )
-    assert Runner(classical).machine_nodes == frozenset({0, 1, 2, 3})
+    assert _machine_nodes(classical) == {0, 1, 2, 3}
     mimic = _scenario(
         5,
         1,
@@ -444,13 +461,13 @@ def test_machine_nodes_classification():
         (Correct(),) * 4 + (Byzantine(MimicHonest(FullValue(U))),),
         Seeded(0),
     )
-    assert Runner(mimic).machine_nodes == frozenset(range(5))
+    assert _machine_nodes(mimic) == set(range(5))
     # A later crasher still runs a machine until the crash fires; a
     # from-the-start crasher never does.
     late = _benign3(faults=(Correct(), Correct(), CrashAt(4)))
-    assert Runner(late).machine_nodes == frozenset({0, 1, 2})
+    assert _machine_nodes(late) == {0, 1, 2}
     immediate = _benign3(faults=(Correct(), Correct(), CrashAt(0)))
-    assert Runner(immediate).machine_nodes == frozenset({0, 1})
+    assert _machine_nodes(immediate) == {0, 1}
 
 
 def test_impersonation_is_rejected_at_start():
@@ -511,6 +528,31 @@ def test_validate_scenario_rejections():
     mismatched_base.base = "phase_king"
     with pytest.raises(ScenarioInvalid):
         validate_scenario(mismatched_base)
+    # The straw man gets no more faults than f either.
+    sigma1 = lower_bound_sigma(1)[0].scenario   # n=4, f=1, one mimic
+    over = dataclasses.replace(
+        sigma1, faults=(Correct(), Correct(), Byzantine(Silent()), sigma1.faults[3])
+    )
+    with pytest.raises(ScenarioInvalid, match="2 actual faults exceed f=1"):
+        validate_scenario(over)
+
+
+class _ProposesTwice(OptimizerNode):
+    """A faulty machine: every base proposal it makes, it makes twice."""
+
+    def on_proposal(self, sender, val):
+        actions = super().on_proposal(sender, val)
+        return actions + [a for a in actions if isinstance(a, ProposeToBase)]
+
+
+def test_a_second_base_proposal_is_a_join_once_violation():
+    sc = figure1_benign(1).scenario   # node 2 adopts and proposes on a vote
+    rn = Runner(sc)
+    rn.machines[2] = _ProposesTwice(sc.cfg, 2, sc.initial_values[2], sc.predicate())
+    trace = rn.run()
+    assert ("join-once", "node 2 proposed more than once") in trace.violations
+    assert [k for k, _ in trace.violations] == ["join-once"]
+    assert set(trace.decisions) == {0, 1, 2}   # the run still finished
 
 
 def test_concrete_floodset_base_settles_mixed_inputs():
@@ -713,7 +755,7 @@ def test_clone_is_independent_when_the_clones_find_violations():
 _RUNNER_NOT_STATE = {
     # The scenario and settings, fixed for the whole run.
     "sc", "cfg", "valid", "record_trace", "budget", "flavor",
-    "is_byz", "crash_after", "machine_nodes",
+    "is_byz", "crash_after",
     # History no future choice, audit or outcome reads: traffic counts,
     # envelope numbering, the step count (explore never gates crashes on
     # it), the applied script and the trace.
@@ -724,9 +766,6 @@ _RUNNER_NOT_STATE = {
     # and the sizes the legal set was last computed for.
     "_next_slot", "_slots", "_proposals_to", "_tree", "_gates",
     "_legal_sizes",
-    # Derived from machines, observed and crashed: the bystanders still to
-    # be sent a wakeup.
-    "_unwoken",
 }
 _MACHINE_NOT_STATE = {
     # Fixed at construction, or (started) set once by start().
