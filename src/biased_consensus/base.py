@@ -15,7 +15,7 @@ protocol for the binary external model (n > 3f).
 from __future__ import annotations
 
 import enum
-from itertools import repeat
+from itertools import chain
 from typing import Callable, Iterable, Mapping
 
 from .core import (
@@ -264,9 +264,12 @@ def run_eig(
 ) -> tuple[dict[NodeId, bytes], SyncMessages]:
     """EIG-style Byzantine agreement over a binary domain; needs n > 3f.
 
-    f + 1 relay rounds fill per-node information trees (labels are tuples of
-    distinct ids), each node keeping only the level it relays next; decisions
-    fold the leaves level by level by strict majority with a fixed default.
+    f + 1 relay rounds fill the information tree (labels are tuples of
+    distinct ids) one level at a time.  A correct relay sends every node the
+    same payload, so what correct nodes relay is kept once for all of them.
+    The last round builds no leaves: each level-f label folds from counts of
+    its children, and the levels above by strict majority with a fixed
+    default.
     """
     byz = dict(byz or {})
     if 3 * f >= n:
@@ -279,22 +282,30 @@ def run_eig(
     # labels[L] lists every level-L label; the n - L children of labels[L][i]
     # are the run of labels[L + 1] that starts at i * (n - L).
     labels: list[list[tuple]] = [[()]]
-    for _ in range(f + 1):
+    for _ in range(f):
         labels.append([lb + (q,) for lb in labels[-1] for q in range(n) if q not in lb])
-    held: dict[NodeId, dict[tuple, bytes]] = {p: {(): proposals[p]} for p in correct}
+    # A level's entries whose last relay is correct are the same in every
+    # correct tree, so shared keeps them once; own[p] keeps the rest of p's
+    # level: its proposal at level 0, then what Byzantine relays sent it.
+    shared: dict[tuple, bytes] = {}
+    own: dict[NodeId, dict[tuple, bytes]] = {p: {(): proposals[p]} for p in correct}
     messages: SyncMessages = []
     for rnd in range(1, f + 2):
         level = rnd - 1
+        relayed: dict[tuple, bytes] = {}
         received: dict[NodeId, dict[tuple, bytes]] = {p: {} for p in correct}
         for src in range(n):
-            if src in held:
-                relayed = {lb + (src,): v for lb, v in held[src].items() if src not in lb}
-                nbytes = _payload_size(relayed)   # the values, whatever the labels
-                received[src].update(relayed)   # a node keeps what it relays
+            if src in own:
+                held = chain(shared.items(), own[src].items())
+                if rnd > f:   # the last round: size the relay, build no leaves
+                    nbytes = sum(map(len, [v for lb, v in held if src not in lb]))
+                else:
+                    mine = {lb + (src,): v for lb, v in held if src not in lb}
+                    nbytes = sum(map(len, mine.values()))   # the values, whatever the labels
+                    relayed.update(mine)
                 for dst in correct:
                     if dst != src:
                         messages.append((rnd, src, dst, nbytes))
-                        received[dst].update(relayed)
             elif src in byz:
                 # Byzantine relays fabricate entries for every label a correct
                 # node in their position would relay.
@@ -311,16 +322,51 @@ def run_eig(
                         for lb, v in payload.items()
                         if len(lb) == level and src not in lb
                     )
-        held = received
+        if rnd <= f:
+            shared, own = relayed, received
 
-    decisions = {}
-    for p in correct:
-        vals = list(map(held[p].get, labels[f + 1], repeat(default)))
-        for k in range(n - f, n + 1):   # a level-L label has n - L children
+    # Fold each level-f label from counts of its children.  A correct child
+    # would relay its own entry for the label, the same to every node, so the
+    # correct children are counted once; a Byzantine child adds the leaf it
+    # sent the folding node (received, from the last round).  A missing
+    # entry counts as the default.
+    k = n - f   # a level-L label has n - L children
+    relays = set(range(n)).intersection(own)
+    split = any(own.values())   # some level-f entry differs between correct trees
+    tallies = []
+    for lb in labels[f]:
+        if lb in shared or not split:
+            tallies.append({shared.get(lb, default): len(relays) - len(relays.intersection(lb))})
+        else:
+            tally: dict[bytes, int] = {}
+            for q in relays.difference(lb):
+                v = own[q].get(lb, default)
+                tally[v] = tally.get(v, 0) + 1
+            tallies.append(tally)
+
+    def decide(leaves: dict[tuple, bytes]) -> bytes:
+        vals = []
+        for lb, tally in zip(labels[f], tallies):
+            if leaves:
+                tally = dict(tally)
+                for b in byz:
+                    v = leaves.get(lb + (b,))
+                    if v is not None:
+                        tally[v] = tally.get(v, 0) + 1
+            for v, c in tally.items():
+                if 2 * c > k:   # a strict majority of the k children
+                    break
+            else:
+                v = default
+            vals.append(v)
+        for width in range(k + 1, n + 1):
             folded = []
-            for chunk in map(sorted, zip(*[iter(vals)] * k)):   # runs of k siblings
-                mid = chunk[k // 2]   # a strict majority, if any, covers the middle
-                folded.append(mid if 2 * chunk.count(mid) > k else default)
+            for chunk in map(sorted, zip(*[iter(vals)] * width)):   # runs of siblings
+                mid = chunk[width // 2]   # a strict majority, if any, covers the middle
+                folded.append(mid if 2 * chunk.count(mid) > width else default)
             vals = folded
-        decisions[p] = vals[0]
-    return decisions, messages
+        return vals[0]
+
+    # One fold serves every node that got no Byzantine leaf entry.
+    quiet = decide({}) if not all(received.values()) else None
+    return {p: decide(received[p]) if received[p] else quiet for p in correct}, messages

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .core import (
@@ -64,8 +65,9 @@ def _build_parser() -> _Parser:
 
     runp = sub.add_parser("run", help="execute one scenario file")
     runp.add_argument("--scenario", required=True, help="scenario JSON path")
-    runp.add_argument("--seed", type=int, help="override the schedule with this seed")
-    runp.add_argument(
+    schedule = runp.add_mutually_exclusive_group()
+    schedule.add_argument("--seed", type=int, help="override the schedule with this seed")
+    schedule.add_argument(
         "--script", help="witness JSON whose steps replace the schedule"
     )
     runp.add_argument("--trace", help="write the event trace (JSONL) here")
@@ -98,7 +100,7 @@ def _build_parser() -> _Parser:
         required=True,
         choices=["figure1", "figure2", "figure3", "sigma"],
     )
-    scen.add_argument("--f", type=int, required=True, dest="faults")
+    scen.add_argument("--f", type=_at_least_one, required=True, dest="faults")
     scen.add_argument("--out", default=".", help="output directory")
 
     gold = sub.add_parser("verify-goldens", help="replay pinned traces and diff")
@@ -212,8 +214,6 @@ def _cmd_scenario(args) -> int:
         named = [figure3_external(f)]
     else:
         named = lower_bound_sigma(f)
-    import os
-
     os.makedirs(args.out, exist_ok=True)
     for ns in named:
         path = os.path.join(args.out, f"{ns.name}.scenario.json")

@@ -10,6 +10,7 @@ decide must sit inside the legal set for the same proposals.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -317,14 +318,14 @@ def _forge(rnd, src, _dst, payload):
 
 
 def test_eig_matches_the_tree_and_recursion_reference():
-    # Every n <= 7 and every legal f, with silent, scrambling and forging
+    # Every n <= 8 and every legal f, with silent, scrambling and forging
     # Byzantine nodes (the scramblers draw from one seeded generator per run,
     # so their draws must come in the same order; the forgers add labels of
     # the wrong length, with their own id, or with a repeated id, which
     # correct nodes then relay), absent nodes and a three-value pool.
     rng = random.Random(11)
     runs = 0
-    for n in range(1, 8):
+    for n in range(1, 9):
         for f in range((n - 1) // 3 + 1):
             for _ in range(20):
                 ids = rng.sample(range(n), n)
@@ -352,7 +353,68 @@ def test_eig_matches_the_tree_and_recursion_reference():
                     n, f, proposals, behaviors(), default
                 ), (n, f, proposals, kinds)
                 runs += 1
-    assert runs > 200
+    assert runs > 250
+
+
+def test_eig_matches_the_reference_on_a_record_replay_system():
+    # The shape the benchmark's record-replay runs, at n=10 f=3, plus a
+    # scrambling relay and an absent node: level-f entries that differ
+    # between correct trees, and leaves that only a Byzantine relay sends.
+    proposals = {p: (V, U)[p % 3 == 0] for p in range(10) if p not in (2, 7)}
+    for absent in (5, 9):
+        del proposals[absent]
+
+        def behaviors():
+            return {2: byz_silent, 7: byz_scramble([V, U], random.Random(absent))}
+
+        got = run_eig(10, 3, proposals, behaviors())
+        assert got == _reference_eig(10, 3, proposals, behaviors())
+        assert len(set(got[0].values())) == 1
+        proposals[absent] = V
+
+
+def test_eig_folds_what_each_byzantine_leaf_relay_sent_the_node():
+    # With at most f faulty nodes the last round's Byzantine entries never
+    # change a decision (a correct-ending label has a correct majority of
+    # children).  Two scramblers and an absent node at n=7 f=2 are one too
+    # many: node 2 decides v only from what the scramblers sent it last, and
+    # with the scramblers silent to node 3 in the last round, node 3's fold
+    # (the one every such node shares) differs from node 1's.
+    proposals = {1: V, 2: V, 3: V, 5: U}
+
+    def behaviors(seed, deaf=()):
+        def scramble(b):
+            noisy = byz_scramble([V, U], random.Random(seed + b))
+            return lambda rnd, src, dst, p: None if (rnd, dst) in deaf else noisy(rnd, src, dst, p)
+
+        return {b: scramble(b) for b in (6, 4)}
+
+    for seed, deaf, decided in (
+        (23258, (), {1: U, 2: V, 3: U, 5: U}),
+        (23034, ((3, 3),), {1: V, 2: U, 3: U, 5: U}),
+    ):
+        got = run_eig(7, 2, proposals, behaviors(seed, deaf))
+        assert got == _reference_eig(7, 2, proposals, behaviors(seed, deaf))
+        assert got[0] == decided
+
+
+def test_eig_sizes_every_round_without_building_the_leaves():
+    # All correct, 1-byte values: in round r a node relays one entry per
+    # label of r - 1 other ids, (n-1)!/(n-r)! bytes, to each of the n - 1
+    # others.  The last round's payload is never built, only sized.
+    n, f = 13, 4
+    for pattern in ((V, U), (V, V)):
+        proposals = {p: pattern[p % 2] for p in range(n)}
+        decisions, messages = run_eig(n, f, proposals)
+        assert len(messages) == (f + 1) * n * (n - 1)
+        for rnd, src, dst, nbytes in messages:
+            assert src != dst
+            assert nbytes == math.factorial(n - 1) // math.factorial(n - rnd), (rnd, src, dst)
+        assert Counter(rnd for rnd, *_ in messages) == {r: n * (n - 1) for r in range(1, f + 2)}
+        assert set(decisions) == set(range(n))
+        decided = set(decisions.values())
+        assert len(decided) == 1
+        assert decided.pop() in _legal_for(proposals, BaseFlavor.BINARY, set(range(n)))
 
 
 # The flavor each engine stands in for: what the simulator refers it against.

@@ -497,6 +497,31 @@ def test_cli_rejects_a_witness_without_a_list_of_steps(tmp_path, doc):
     assert bad.stderr.startswith("error: witness.json: a witness is an object"), bad.stderr
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [("--seed", "5", "--script", "witness.json"), ("--script", "witness.json", "--seed", "5")],
+)
+def test_cli_refuses_a_seed_together_with_a_script(tmp_path, flags):
+    (tmp_path / "golden.json").write_text(serialize_scenario(golden_set()[0].scenario))
+    (tmp_path / "witness.json").write_text(json.dumps({"steps": []}))
+    bad = _cli("run", "--scenario", "golden.json", *flags, cwd=tmp_path)
+    assert bad.returncode == 1
+    _assert_cli_started(bad)
+    errors = [line for line in bad.stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "--seed" in errors[0] and "--script" in errors[0], bad.stderr
+    assert "invariants" not in bad.stdout
+
+
+@pytest.mark.parametrize("name,f", [("figure1", "-1"), ("figure1", "0"), ("figure2", "0")])
+def test_cli_scenario_refuses_f_below_one(tmp_path, name, f):
+    bad = _cli("scenario", "--name", name, "--f", f, "--out", "figs", cwd=tmp_path)
+    assert bad.returncode == 1
+    _assert_cli_started(bad)
+    assert f"error: argument --f: expected an integer >= 1, got '{f}'" in bad.stderr, bad.stderr
+    assert not (tmp_path / "figs").exists()
+    assert bad.stdout == ""
+
+
 def test_cli_rejects_a_malformed_witness_script(tmp_path):
     (tmp_path / "golden.json").write_text(serialize_scenario(golden_set()[0].scenario))
     (tmp_path / "witness.json").write_text(

@@ -868,7 +868,7 @@ def test_a_phase_king_base_needs_n_above_4f():
 
 
 def test_an_eig_base_past_the_event_budget_is_refused(monkeypatch):
-    # The relay tree has n(n-1)...(n-f) leaves per node.
+    # The relay tree has n(n-1)...(n-f) leaves, the values of its last round.
     def eig(n, f):
         cfg = OptimizerConfig(
             n, f, FullValue(V), FailureModel.BYZANTINE_EXTERNAL, binary_domain=True
@@ -883,7 +883,7 @@ def test_an_eig_base_past_the_event_budget_is_refused(monkeypatch):
 
     with pytest.raises(ScenarioInvalid, match="5765760 relay-tree leaves"):
         validate_scenario(eig(16, 5))
-    trace = run(eig(13, 4), record_trace=False)   # 154,440 leaves, about 2 s
+    trace = run(eig(13, 4), record_trace=False)   # 154,440 leaves, none built
     assert trace.violations == []
     assert trace.counters["base"]["msgs"] > 0
     monkeypatch.setenv("SIM_EVENT_BUDGET", "154439")
