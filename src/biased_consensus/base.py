@@ -148,40 +148,27 @@ def _payload_size(payload: object) -> int:
 
 
 def run_floodset(
-    n: int,
-    f: int,
-    proposals: Mapping[NodeId, bytes],
-    crashes: Mapping[NodeId, tuple[int, frozenset[NodeId]]] | None = None,
+    n: int, f: int, proposals: Mapping[NodeId, bytes]
 ) -> tuple[dict[NodeId, bytes], SyncMessages]:
     """Flooding consensus for crash faults: f + 1 rounds, decide min.
 
-    crashes maps a node to (round, recipients): in that round it reaches only
-    the listed recipients and is silent afterwards.
+    The simulator drops crashed proposers before the base starts, so every
+    participant here is live for the whole instance.
     """
-    crashes = dict(crashes or {})
-    if len(crashes) > f:
-        raise PreconditionViolation(f"{len(crashes)} crashes exceed f={f}")
     known: dict[NodeId, set[bytes]] = {p: {v} for p, v in proposals.items()}
     messages: SyncMessages = []
     for rnd in range(1, f + 2):
         sends: list[tuple[NodeId, NodeId, frozenset[bytes], int]] = []
         for src in sorted(known):
-            if src in crashes and crashes[src][0] < rnd:
-                continue
             payload = frozenset(known[src])
             nbytes = _payload_size(payload)
             for dst in sorted(known):
-                if dst == src:
-                    continue
-                if src in crashes and crashes[src][0] == rnd:
-                    if dst not in crashes[src][1]:
-                        continue
-                sends.append((src, dst, payload, nbytes))
+                if dst != src:
+                    sends.append((src, dst, payload, nbytes))
         for src, dst, payload, nbytes in sends:
             messages.append((rnd, src, dst, nbytes))
-            if not (dst in crashes and crashes[dst][0] <= rnd):
-                known[dst].update(payload)
-    decisions = {p: min(known[p]) for p in sorted(known) if p not in crashes}
+            known[dst].update(payload)
+    decisions = {p: min(known[p]) for p in sorted(known)}
     return decisions, messages
 
 

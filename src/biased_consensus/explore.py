@@ -2,13 +2,13 @@
 
 A depth-first walk of the choice tree (delivery orders, in-flight drops from
 crashed senders, crash placements, base-outcome picks), reduced as in
-Godefroid, Partial-Order Methods, LNCS 1032, 1996.  A delivery that changes
-nothing is consumed alone; otherwise a new state branches only on one
-persistent set, the choices of the fewest nodes that nothing outside them
-can conflict with (_persistent).  Sleep sets then skip orders that only
-commute a choice with an independent sibling; independence is conditional
-on the current state (two deliveries to one recipient commute unless one
-of them is its threshold trigger).
+Godefroid, Partial-Order Methods, LNCS 1032, 1996.  Each choice has one
+owner node (_owner).  A delivery that changes nothing is consumed alone;
+otherwise a new state branches only on one persistent set, the choices of
+the fewest owners that nothing outside them can conflict with
+(_persistent).  Sleep sets then skip orders that only commute a choice
+with an independent sibling (_independent): one of another owner, bar a
+crash, or of the same owner whose machine the order provably leaves alone.
 
 The walk is stateful: each visited state is cached under an exact key
 (Runner.state_key) with the sleep set it was explored with; a state reached
@@ -34,6 +34,7 @@ from .simnet import Exhaustive, Runner, Scenario
 _PROPOSAL = MsgKind.PROPOSAL.value
 _FULL = MsgKind.FULL.value
 _BASE = MsgKind.BASE.value
+_BASE_NODE = -1   # the owner of a pick
 
 
 @dataclass
@@ -204,6 +205,14 @@ def _leaf(rn: Runner, report: ExplorationReport, leaves_cap: int) -> None:
 
 # --- conditional independence ----------------------------------------------
 
+def _owner(c: tuple) -> int:
+    """The node a choice touches: a delivery's or drop's receiver, the node
+    of a crash, timer or decision, and the base for a pick."""
+    if c[0] in ("deliver", "drop"):
+        return c[2]
+    return _BASE_NODE if c[0] == "pick" else c[1]
+
+
 def _independent(a: tuple, b: tuple, rn: Runner) -> bool:
     """True when a and b commute from rn's current state.
 
@@ -212,46 +221,37 @@ def _independent(a: tuple, b: tuple, rn: Runner) -> bool:
     Conservative False answers merely cost pruning.
     """
     ta, tb = a[0], b[0]
+    if _owner(a) != _owner(b):
+        # Different owners touch different machines.  Only a crash reaches
+        # past its node: while a pick is enabled only a crash can shrink the
+        # legal set, and a crash turns the envelopes its node sent into drops
+        # ([1] is an envelope's sender, and the node of any other choice).
+        if ta == "crash":
+            return tb != "pick" and b[1] != a[1]
+        return tb != "crash" or ta != "pick" and a[1] != b[1]
     if ta in ("deliver", "drop") and tb in ("deliver", "drop"):
         if a[1:4] == b[1:4]:
             return False   # same (src, dst, kind) stream, or same envelope
-        if "drop" in (ta, tb):
-            # A drop touches no machine; distinct envelopes always commute.
-            return True
-        return _delivers_commute(a, b, rn)
-    if "pick" in (ta, tb):
-        if ta == tb:
-            return False
-        other = a if tb == "pick" else b
-        # While a pick is enabled, no delivery can add a proposal or shrink
-        # the legal set; only a crash can.
-        return other[0] != "crash"
-    if "crash" in (ta, tb):
-        if ta == tb:
-            return a[1] != b[1]
-        crash, other = (a, b) if ta == "crash" else (b, a)
-        node = crash[1]
-        if other[0] in ("deliver", "drop"):
-            return node not in (other[1], other[2])
-        return node != other[1]   # decision/timer on the crashing node
-    if "decision" in (ta, tb):
-        if ta == tb:
-            return a[1] != b[1]
-        dec, other = (a, b) if ta == "decision" else (b, a)
+        if ta == "drop" or tb == "drop" or _deliver_noop(a, rn) or _deliver_noop(b, rn):
+            return True    # a drop touches no machine; a no-op changes nothing
+        if a[3] != b[3]:
+            return False   # proposal/full/base interplay on one machine: keep order
+        kind, m = a[3], rn.machines[a[2]]
+        if kind == _PROPOSAL:
+            # In the timeout variant votes buffer until the timer: no trigger.
+            return rn.cfg.sync_timeout is not None or len(m.votes) + 1 != rn.cfg.threshold
+        if kind == _FULL and m.phase is Phase.FULL_EXCHANGE and not m.full_evaluated:
+            return len(m.fullvals) + 1 != rn.cfg.threshold
+        # Full values outside an open exchange, or two live base wakeups: the
+        # first wakeup joins, and which one it is does not change the state.
+        return True
+    if ta == "decision" or tb == "decision":
+        # A decision commutes with a no-op delivery and with any drop but a
+        # base observation's, which re-arms the observation for its target.
+        other = b if ta == "decision" else a
         if other[0] == "drop":
-            # Only a base-observation drop mutates state (it re-arms the
-            # observation for its target).
-            return other[3] != _BASE or dec[1] != other[2]
-        if other[0] == "deliver":
-            return dec[1] != other[2] or _deliver_noop(other, rn)
-        return dec[1] != other[1]
-    if "timer" in (ta, tb):
-        if ta == tb:
-            return a[1] != b[1]
-        tmr, other = (a, b) if ta == "timer" else (b, a)
-        if other[0] in ("deliver", "drop"):
-            return tmr[1] != other[2]
-        return tmr[1] != other[1]
+            return other[3] != _BASE
+        return other[0] == "deliver" and _deliver_noop(other, rn)
     return False
 
 
@@ -284,10 +284,9 @@ def _persistent(enabled: list[tuple], rn: Runner) -> list[tuple]:
     ch. 4; Valmari's stubborn sets): no run of choices outside it conflicts
     with a choice in it, so branching on it alone loses no leaf.
 
-    Each choice belongs to the node it touches: a delivery or drop to its
-    receiver, a crash, timer or decision to its node, a pick to the base.
-    From one node, the set of nodes is closed under the conflicts that cross
-    nodes; the rest is one machine's own business:
+    Each choice belongs to its _owner.  From one node, the set of nodes is
+    closed under the conflicts that cross nodes; the rest is one machine's
+    own business:
     - a sender with a pending crash joins its receiver: the crash enables
       the drop twin, which disables the delivery;
     - a crashing node that has proposed brings in the base until the pick
@@ -316,9 +315,7 @@ def _persistent(enabled: list[tuple], rn: Runner) -> list[tuple]:
     and share only which live proposer sources a later wakeup, which
     matters only if that source crashes, and then a live one re-sends it.
     """
-    base = -1
-    owners = [c[2] if c[0] in ("deliver", "drop") else base if c[0] == "pick" else c[1]
-              for c in enabled]
+    owners = [_owner(c) for c in enabled]
     sizes = Counter(owners)
     crashing = {c[1] for c in enabled if c[0] == "crash"}
     streams = {c[1:4] for c in enabled if c[0] == "deliver"}
@@ -327,14 +324,14 @@ def _persistent(enabled: list[tuple], rn: Runner) -> list[tuple]:
 
     @cache
     def needs(x: int) -> set[int]:
-        if x == base:
+        if x == _BASE_NODE:
             if rn.open_picks():
                 return crashing
             return set([p for p in rn._correct_live() if p not in proposed][:1])
         out = {c[1] for c, o in zip(enabled, owners)
                if o == x and c[0] == "deliver" and c[1] in crashing}
         if x in crashing and x in proposed and not rn.pick_done:
-            out.add(base)
+            out.add(_BASE_NODE)
         for y, m in enumerate(machines if rn.cfg.variant is Variant.PROOF_AWARE else ()):
             # y may yet send x a full value by broadcasting or by answering x.
             sends = m is not None and y != x and y not in rn.crashed and (
@@ -355,26 +352,3 @@ def _persistent(enabled: list[tuple], rn: Runner) -> list[tuple]:
         if size < best and not closed & unwoken:
             best, chosen = size, closed
     return enabled if chosen is None else [c for c, o in zip(enabled, owners) if o in chosen]
-
-
-def _delivers_commute(a: tuple, b: tuple, rn: Runner) -> bool:
-    _, asrc, adst, akind, _ = a
-    _, bsrc, bdst, bkind, _ = b
-    if adst != bdst:
-        return True   # different recipients never share machine state
-    if _deliver_noop(a, rn) or _deliver_noop(b, rn):
-        return True
-    if akind != bkind:
-        return False   # proposal/full/base interplay on one machine: keep order
-    m = rn.machines[adst]
-    if akind == _PROPOSAL:
-        if rn.cfg.sync_timeout is not None:
-            return True   # votes buffer until the timer; no trigger
-        return len(m.votes) + 1 != rn.cfg.threshold
-    if akind == _FULL:
-        if m.phase is Phase.FULL_EXCHANGE and not m.full_evaluated:
-            return len(m.fullvals) + 1 != rn.cfg.threshold
-        return True
-    # Two live base observations: the first one joins, the second becomes a
-    # no-op, and which is which does not change the joined state.
-    return True

@@ -66,12 +66,12 @@ def _bytes_to_obj(b: bytes) -> dict:
 
 
 def _bytes_from_obj(obj: Any, what: str) -> bytes:
-    if isinstance(obj, dict):
-        if "text" in obj:
-            return str(obj["text"]).encode("utf-8")
-        if "hex" in obj:
-            return bytes.fromhex(str(obj["hex"]))
-    raise ScenarioInvalid(f"{what}: expected {{'text': ...}} or {{'hex': ...}}")
+    """A byte payload: an object with one key, text or hex, and a string."""
+    if isinstance(obj, dict) and len(obj) == 1:
+        ((key, value),) = obj.items()
+        if key in ("text", "hex") and isinstance(value, str):
+            return value.encode("utf-8") if key == "text" else bytes.fromhex(value)
+    raise ScenarioInvalid(f"{what}: expected {{'text': str}} or {{'hex': str}}, got {obj!r}")
 
 
 def _fields(obj: Any, what: str, *allowed: str) -> dict:
@@ -322,10 +322,13 @@ def scenario_from_obj(obj: dict) -> Scenario:
         )
         faults = tuple(_fault_from_obj(nd["fault"]) for nd in nodes)
         validity_obj = _fields(obj.get("validity", {}), "validity", "default", "table")
-        validity = {
-            _bytes_from_obj(e["val"], "validity entry"): _flag(e, "valid", None)
-            for e in validity_obj.get("table", [])
-        }
+        validity = {}
+        for entry in validity_obj.get("table", []):
+            entry = _fields(entry, "validity entry", "val", "valid")
+            val = _bytes_from_obj(entry["val"], "validity entry")
+            if val in validity:
+                raise ScenarioInvalid(f"validity entry {entry['val']} is listed twice")
+            validity[val] = _flag(entry, "valid", None)
         sc = Scenario(
             cfg=cfg,
             initial_values=initial,

@@ -257,8 +257,9 @@ def validate_scenario(sc: Scenario) -> Scenario:
         leaves = math.perm(cfg.n, cfg.f + 1)   # EIG's relay tree: n(n-1)...(n-f)
         if sc.base == "eig" and leaves > event_budget():
             raise ScenarioInvalid(
-                f"eig base at n={cfg.n} f={cfg.f} builds {leaves} relay-tree "
-                f"leaves, past the event budget {event_budget()}"
+                f"eig base at n={cfg.n} f={cfg.f} has {leaves} relay-tree leaves, "
+                f"one value each to n-1 nodes in its last round, past the event "
+                f"budget {event_budget()}"
             )
         if sc.base == "phase_king" and cfg.n <= 4 * cfg.f:
             raise ScenarioInvalid(

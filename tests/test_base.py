@@ -170,41 +170,21 @@ def test_flavor_for_mapping():
 # --- concrete engines --------------------------------------------------------
 
 
-def _legal_for(proposals, flavor, live, crashed=()):
+def _legal_for(proposals, flavor, live):
     inst = BaseInstance()
     for p, v in proposals.items():
         inst.propose(p, FullValue(v))
-    return inst.legal_decisions(flavor, live, crashed, VALID)
+    return inst.legal_decisions(flavor, live, (), VALID)
 
 
 def test_floodset_agreement_and_legality_sweep():
-    crash_options = [None]
-    for rnd in (1, 2):
-        for k in range(3):
-            for recips in itertools.combinations((1, 2), k):
-                crash_options.append((rnd, frozenset(recips)))
     for vals in itertools.product([V, U], repeat=3):
         proposals = dict(enumerate(vals))
-        for opt in crash_options:
-            crashes = {} if opt is None else {0: opt}
-            decisions, _ = run_floodset(3, 1, proposals, crashes)
-            assert set(decisions) == {p for p in proposals if p not in crashes}
-            got = set(decisions.values())
-            assert len(got) == 1
-            legal = _legal_for(
-                proposals, BaseFlavor.BENIGN, set(decisions), set(crashes)
-            )
-            assert got.pop() in legal
-
-
-def test_floodset_hand_worked_crash_cases():
-    proposals = {0: b"a", 1: V, 2: V}
-    # Crashing before reaching anyone loses the value entirely.
-    decisions, _ = run_floodset(3, 1, proposals, {0: (1, frozenset())})
-    assert decisions == {1: V, 2: V}
-    # Reaching a single peer is enough: the extra round floods it onward.
-    decisions, _ = run_floodset(3, 1, proposals, {0: (1, frozenset({1}))})
-    assert decisions == {1: b"a", 2: b"a"}
+        decisions, _ = run_floodset(3, 1, proposals)
+        assert set(decisions) == set(proposals)
+        got = set(decisions.values())
+        assert len(got) == 1
+        assert got.pop() in _legal_for(proposals, BaseFlavor.BENIGN, set(decisions))
 
 
 def test_floodset_message_accounting():
@@ -213,11 +193,6 @@ def test_floodset_message_accounting():
     assert {m[0] for m in messages} == {1, 2}
     assert all(nbytes == 1 for rnd, _, _, nbytes in messages if rnd == 1)
     assert decisions == {0: U, 1: U, 2: U}
-
-
-def test_floodset_rejects_too_many_crashes():
-    with pytest.raises(PreconditionViolation):
-        run_floodset(3, 1, {0: V, 1: V, 2: V}, {0: (1, frozenset()), 1: (1, frozenset())})
 
 
 def test_phase_king_agreement_and_legality_sweep():
@@ -428,46 +403,43 @@ _ENGINE_FLAVOR = {
 @st.composite
 def _engine_runs(draw):
     """An engine, its size, and up to f faulty nodes: absent ones (never
-    proposed), floodset crashes mid-protocol, and silent or scrambling
-    Byzantines, which may or may not have proposed themselves."""
+    proposed), and silent or scrambling Byzantines, which may or may not
+    have proposed themselves."""
     engine = draw(st.sampled_from(list(_ENGINE_FLAVOR)))
     least, most, divisor = {"floodset": (2, 8, 2), "phase_king": (5, 13, 4), "eig": (4, 7, 3)}[engine]
     n = draw(st.integers(least, most))
     f = draw(st.integers(0, min((n - 1) // divisor, 2 if engine == "eig" else n)))
     values = (V, U) if engine == "eig" else (V, U, W)
     proposals = dict(enumerate(draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))))
-    crashes, byz = {}, {}
+    byz = {}
     pool = sorted(set(proposals.values()))
     for node in draw(st.lists(st.integers(0, n - 1), unique=True, max_size=f)):
-        kinds = ["absent", "crash"] if engine == "floodset" else ["absent", "silent", "scramble"]
+        kinds = ["absent"] if engine == "floodset" else ["absent", "silent", "scramble"]
         kind = draw(st.sampled_from(kinds))
-        if kind != "crash" and (kind == "absent" or draw(st.booleans())):
+        if kind == "absent" or draw(st.booleans()):
             del proposals[node]
-        if kind == "crash":
-            reached = draw(st.frozensets(st.integers(0, n - 1)))
-            crashes[node] = (draw(st.integers(1, f + 1)), reached)
-        elif kind == "silent":
+        if kind == "silent":
             byz[node] = byz_silent
         elif kind == "scramble":
             byz[node] = byz_scramble(pool, random.Random(draw(st.integers(0, 2**32))))
-    return engine, n, f, proposals, crashes, byz
+    return engine, n, f, proposals, byz
 
 
 @settings(max_examples=150, deadline=None)
 @given(_engine_runs())
 def test_concrete_engines_agree_on_a_legal_value(case):
-    engine, n, f, proposals, crashes, byz = case
+    engine, n, f, proposals, byz = case
     if engine == "floodset":
-        decisions, _ = run_floodset(n, f, proposals, crashes)
+        decisions, _ = run_floodset(n, f, proposals)
     elif engine == "phase_king":
         decisions, _ = run_phase_king(n, f, proposals, byz)
     else:
         decisions, _ = run_eig(n, f, proposals, byz)
-    correct = {p for p in proposals if p not in crashes and p not in byz}
+    correct = {p for p in proposals if p not in byz}
     assert set(decisions) == correct
     decided = set(decisions.values())
     assert len(decided) == 1
-    legal = _legal_for(proposals, _ENGINE_FLAVOR[engine], correct, set(crashes))
+    legal = _legal_for(proposals, _ENGINE_FLAVOR[engine], correct)
     assert decided.pop() in legal
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import random
 
 from hypothesis import given, settings, strategies as st
 
@@ -35,6 +36,9 @@ from biased_consensus import (
     run,
     sigma3_properly_bounded,
 )
+from biased_consensus.core import MsgKind
+from biased_consensus.explore import _deliver_noop, _independent
+from biased_consensus.optimizer import Phase
 from biased_consensus.simnet import Runner
 
 V = b"v"
@@ -358,3 +362,126 @@ def test_pruned_search_matches_the_plain_walk_on_generated_systems(sc):
         assert set(plain.outcomes) <= set(pruned.outcomes)
     else:
         assert set(pruned.outcomes) == set(plain.outcomes)
+
+
+# --- the dependency relation against the case split it replaced
+
+
+def _reference_independent(a, b, rn):
+    """The explorer's independence relation as a case split on the two
+    choices' tags, before it was restated through each choice's owner."""
+    ta, tb = a[0], b[0]
+    if ta in ("deliver", "drop") and tb in ("deliver", "drop"):
+        if a[1:4] == b[1:4]:
+            return False
+        if "drop" in (ta, tb):
+            return True
+        return _reference_delivers_commute(a, b, rn)
+    if "pick" in (ta, tb):
+        if ta == tb:
+            return False
+        other = a if tb == "pick" else b
+        return other[0] != "crash"
+    if "crash" in (ta, tb):
+        if ta == tb:
+            return a[1] != b[1]
+        crash, other = (a, b) if ta == "crash" else (b, a)
+        node = crash[1]
+        if other[0] in ("deliver", "drop"):
+            return node not in (other[1], other[2])
+        return node != other[1]
+    if "decision" in (ta, tb):
+        if ta == tb:
+            return a[1] != b[1]
+        dec, other = (a, b) if ta == "decision" else (b, a)
+        if other[0] == "drop":
+            return other[3] != MsgKind.BASE.value or dec[1] != other[2]
+        if other[0] == "deliver":
+            return dec[1] != other[2] or _deliver_noop(other, rn)
+        return dec[1] != other[1]
+    if "timer" in (ta, tb):
+        if ta == tb:
+            return a[1] != b[1]
+        tmr, other = (a, b) if ta == "timer" else (b, a)
+        if other[0] in ("deliver", "drop"):
+            return tmr[1] != other[2]
+        return tmr[1] != other[1]
+    return False
+
+
+def _reference_delivers_commute(a, b, rn):
+    _, asrc, adst, akind, _ = a
+    _, bsrc, bdst, bkind, _ = b
+    if adst != bdst:
+        return True
+    if _deliver_noop(a, rn) or _deliver_noop(b, rn):
+        return True
+    if akind != bkind:
+        return False
+    m = rn.machines[adst]
+    if akind == MsgKind.PROPOSAL.value:
+        if rn.cfg.sync_timeout is not None:
+            return True
+        return len(m.votes) + 1 != rn.cfg.threshold
+    if akind == MsgKind.FULL.value:
+        if m.phase is Phase.FULL_EXCHANGE and not m.full_evaluated:
+            return len(m.fullvals) + 1 != rn.cfg.threshold
+        return True
+    return True
+
+
+def _relation_agrees_on_a_path(sc, seed):
+    """Walk one random path to a leaf; in every state, compare the two
+    relations on every ordered pair of enabled choices.  Returns the tags
+    of the pairs checked."""
+    rng = random.Random(seed)
+    rn = Runner(sc, record_trace=False)
+    rn.start_batch()
+    tags = set()
+    while enabled := rn.enabled_choices("explore"):
+        for a in enabled:
+            for b in enabled:
+                want = _reference_independent(a, b, rn)
+                assert _independent(a, b, rn) == want, (a, b, rn.applied)
+                tags.add((a[0], b[0], want))
+        rn.apply_choice(rng.choice(enabled))
+    return tags
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_scenarios(), st.integers(0, 2**32 - 1))
+def test_the_owner_relation_matches_the_case_split_on_generated_systems(sc, seed):
+    _relation_agrees_on_a_path(sc, seed)
+
+
+def test_the_owner_relation_matches_the_case_split_with_timers_crashes_and_equivocators():
+    classical = FailureModel.BYZANTINE_CLASSICAL
+    timeout = lambda faults: dataclasses.replace(
+        _scenario(4, 1, classical, (V, V, U, U), faults),
+        cfg=OptimizerConfig(4, 1, FullValue(V), classical, sync_timeout=1.0),
+    )
+    systems = [
+        timeout((Correct(),) * 3 + (Byzantine(Equivocate(V, U, frozenset({0, 1}))),)),
+        timeout((Correct(),) * 3 + (Byzantine(Silent()),)),
+        _scenario(5, 2, FailureModel.BENIGN, (V, U, V, U, U),
+                  (CrashAt(1), Correct(), Correct(), Correct(), CrashAt(1))),
+        dataclasses.replace(
+            _scenario(4, 1, FailureModel.BYZANTINE_EXTERNAL, (U, V, V, V),
+                      (Correct(), CrashAt(1), Correct(), Correct())),
+            validity={V: False},
+        ),
+        _scenario(5, 1, classical, (V, U, V, U, U),
+                  (Correct(),) * 4 + (Byzantine(Equivocate(V, U, frozenset({1, 3}))),)),
+    ]
+    tags = set()
+    for sc in systems:
+        for seed in range(8):
+            tags |= _relation_agrees_on_a_path(sc, seed)
+    # The paths reach every kind of choice, and pairs either way of each
+    # rule that tells a crash from its neighbours (the timeout variant, the
+    # only one with timers, has no crash faults).
+    kinds = {t for t, _, _ in tags}
+    assert kinds == {"deliver", "drop", "crash", "timer", "pick", "decision"}
+    for other in ("deliver", "drop", "crash", "decision"):
+        assert {("crash", other, True), ("crash", other, False)} <= tags
+    assert ("crash", "pick", False) in tags

@@ -166,6 +166,22 @@ def _arbitrary(**send) -> dict:
         (1, ("system", "sync_timeout"), [1],
          r"sync_timeout must be null or a positive number, got \[1\]"),
         (0, ("system", "name"), 12, "name must be a string, got 12"),
+        # A byte payload with a non-string value, or other keys beside it.
+        (0, ("nodes", 1, "value"), {"hex": 76},
+         r"node 1 value: expected \{'text': str\} or \{'hex': str\}, got \{'hex': 76\}"),
+        (0, ("nodes", 1, "value"), {"text": 7}, r"node 1 value: .*got \{'text': 7\}"),
+        (0, ("system", "preferred"), {"text": "v", "hex": "75", "colour": 1},
+         r"preferred: expected \{'text': str\} or \{'hex': str\}"),
+        (0, ("system", "preferred"), {"text": "v", "hex": "76"}, r"preferred: expected"),
+        (0, ("system", "preferred"), {}, r"preferred: expected"),
+        # A validity entry with an unknown key, or a payload listed twice.
+        (7, ("validity", "table", 0, "colour"), 1, r"validity entry: unknown keys \['colour'\]"),
+        (7, ("validity", "table"),
+         [{"val": {"text": "v"}, "valid": False}, {"val": {"text": "v"}, "valid": True}],
+         r"validity entry \{'text': 'v'\} is listed twice"),
+        (7, ("validity", "table"),
+         [{"val": {"text": "v"}, "valid": False}, {"val": {"hex": "76"}, "valid": False}],
+         r"validity entry \{'hex': '76'\} is listed twice"),
     ],
 )
 def test_strategies_nodes_and_integers_are_read_strictly(golden, path, value, match):
