@@ -136,8 +136,6 @@ def byz_scramble(pool: list[bytes], rng) -> ByzBehavior:
 
 
 def _payload_size(payload: object) -> int:
-    if payload is None:
-        return 0
     if isinstance(payload, bytes):
         return len(payload)
     if isinstance(payload, dict):

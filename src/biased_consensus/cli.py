@@ -14,7 +14,6 @@ import sys
 
 from .core import (
     ConfigError,
-    MissingGolden,
     NonQuiescence,
     ProtocolError,
     ScenarioInvalid,
@@ -251,9 +250,6 @@ def main(argv: list[str] | None = None) -> int:
     except NonQuiescence as e:
         print(f"VIOLATION non-quiescence: {e}", file=sys.stderr)
         return 2
-    except MissingGolden as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except (ConfigError, ProtocolError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

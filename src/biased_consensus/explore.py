@@ -33,7 +33,6 @@ from .simnet import Exhaustive, Runner, Scenario
 
 _PROPOSAL = MsgKind.PROPOSAL.value
 _FULL = MsgKind.FULL.value
-_BASE = MsgKind.BASE.value
 _BASE_NODE = -1   # the owner of a pick
 
 
@@ -246,12 +245,11 @@ def _independent(a: tuple, b: tuple, rn: Runner) -> bool:
         # first wakeup joins, and which one it is does not change the state.
         return True
     if ta == "decision" or tb == "decision":
-        # A decision commutes with a no-op delivery and with any drop but a
-        # base observation's, which re-arms the observation for its target.
+        # A decision commutes with a no-op delivery and with any drop: its
+        # node has joined the base, and a lost wakeup rearms only a node
+        # that has not.
         other = b if ta == "decision" else a
-        if other[0] == "drop":
-            return other[3] != _BASE
-        return other[0] == "deliver" and _deliver_noop(other, rn)
+        return other[0] == "drop" or other[0] == "deliver" and _deliver_noop(other, rn)
     return False
 
 

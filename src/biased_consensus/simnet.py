@@ -71,6 +71,7 @@ DEFAULT_EVENT_BUDGET = 1_000_000
 _KINDS = tuple(k.value for k in MsgKind)
 _PROPOSAL = MsgKind.PROPOSAL.value
 _BASE = MsgKind.BASE.value
+_PICK = -1   # the slot Runner._slot_of gives an open pick
 
 
 def event_budget() -> int:
@@ -541,11 +542,7 @@ class Runner:
         live = self._correct_live()
         # Proposals and crashes only accumulate: equal counts, equal legal set.
         sizes = (len(self.base.proposals), len(self.crashed))
-        if not live:
-            # Nobody is left to referee the instance — and nobody is left
-            # waiting on a decision either.
-            self.pick_done = True
-        elif sizes != self._legal_sizes and all(p in self.base.proposals for p in live):
+        if sizes != self._legal_sizes and all(p in self.base.proposals for p in live):
             self._legal_sizes = sizes
             crashed_proposers = [p for p in self.base.proposals if p in self.crashed]
             newly = not self.base_legal
@@ -643,11 +640,37 @@ class Runner:
         return out
 
     def apply_choice(self, choice: tuple) -> None:
+        slot = self._slot_of(choice)
+        if slot is None:
+            raise ScenarioInvalid(f"no pending event for {choice!r}")
+        self._apply(choice, slot)
+
+    def _slot_of(self, choice: tuple) -> int | None:
+        """The pending slot of choice if enabled_choices lists it, _PICK for
+        an open pick, and None otherwise.  A pending delivery or decision is
+        always listed, and so is a crash: the explore and scripted lists do
+        not gate it."""
         tag = choice[0]
-        self.applied.append(choice)
         if tag == "pick":
-            value = bytes.fromhex(choice[1])
-            self.base.decide(value, self.base_legal)
+            legal = len(choice) == 2 and choice[1] in [v.hex() for v in self.open_picks()]
+            return _PICK if legal else None
+        if tag in ("deliver", "drop"):
+            stream = self._slots.get(choice[1:4], ()) if len(choice) == 5 else ()
+            k = choice[-1]
+            slot = stream[k] if type(k) is int and 0 <= k < len(stream) else None
+        else:
+            stream = self._slots.get(choice) if len(choice) == 2 else None
+            slot = stream[0] if stream else None
+        if slot is None or tag not in ("drop", "timer"):
+            return slot
+        # A drop needs its twin (weight 2), a timer an empty proposal inbox.
+        return slot if self._weight(self.pending[slot]) > (tag == "drop") else None
+
+    def _apply(self, choice: tuple, slot: int) -> None:
+        """Execute an enabled choice, given the slot _slot_of finds for it."""
+        self.applied.append(choice)
+        if slot == _PICK:
+            self.base.decide(bytes.fromhex(choice[1]), self.base_legal)
             self.pick_done = True
             self._trace_event(
                 {
@@ -659,40 +682,20 @@ class Runner:
             for node in sorted(self.base.proposals):
                 if node not in self.crashed:
                     self._add(("decision", node))
-            self.event_index += 1
-            self._post_event()
-            return
-        self._dispatch(tag, self._take(choice)[1])
-
-    def _dispatch(self, tag: str, x) -> None:
-        """Execute a removed pending event as the choice tagged tag."""
-        if tag == "deliver":
-            self._dispatch_deliver(x)
-        elif tag == "drop":
-            self._dispatch_drop(x)
-        elif tag == "decision":
-            self._dispatch_decision(x)
-        elif tag == "timer":
-            self._dispatch_timer(x)
-        elif tag == "crash":
-            self._dispatch_crash(x)
+        else:
+            tag, x = choice[0], self._remove(slot)[1]
+            if tag == "deliver":
+                self._dispatch_deliver(x)
+            elif tag == "drop":
+                self._dispatch_drop(x)
+            elif tag == "decision":
+                self._dispatch_decision(x)
+            elif tag == "timer":
+                self._dispatch_timer(x)
+            else:
+                self._dispatch_crash(x)
         self.event_index += 1
         self._post_event()
-
-    def _take(self, choice: tuple) -> tuple:
-        tag = choice[0]
-        if tag in ("deliver", "drop"):
-            _, src, dst, kind, k = choice
-            stream = self._slots.get((src, dst, kind), ())
-            if not (isinstance(k, int) and 0 <= k < len(stream)):
-                raise ScenarioInvalid(f"no pending envelope for {choice!r}")
-            if tag == "drop" and src not in self.crashed:
-                raise ScenarioInvalid(f"drop of live sender's envelope {choice!r}")
-            return self._remove(stream[k])
-        stream = self._slots.get((tag, choice[1]))
-        if stream is None:
-            raise ScenarioInvalid(f"no pending event for {choice!r}")
-        return self._remove(stream[0])
 
     # -- the pending index ---------------------------------------------------
 
@@ -859,20 +862,20 @@ class Runner:
                 break
             self._check_budget()
             i = rng.randrange(count)
-            if isinstance(choices, _SeededChoices) and i < choices.units:
-                # Apply by the slot the index located, not by the choice's key.
-                choice, slot = choices.locate(i)
-                self.applied.append(choice)
-                self._dispatch(choice[0], self._remove(slot)[1])
+            if isinstance(choices, _SeededChoices):
+                self._apply(*choices.locate(i))
             else:
                 self.apply_choice(choices[i])
 
     def _run_scripted(self, steps: list[tuple]) -> None:
         script = steps[::-1]   # the next step last, so consuming one is a pop
         while True:
-            if script and self._enabled(_normalize_step(script[-1])):
+            head = _normalize_step(script[-1]) if script else None
+            slot = self._slot_of(head) if script else None
+            if slot is not None:
                 self._check_budget()
-                self.apply_choice(_normalize_step(script.pop()))
+                script.pop()
+                self._apply(head, slot)
                 continue
             choices = self.enabled_choices("scripted")
             if not choices:
@@ -883,7 +886,10 @@ class Runner:
                     )
                 break
             self._check_budget()
-            free = [c for c in choices if not self._fifo_skipped(c)]
+            # The FIFO tail takes no drop, and no crash before its seeded index.
+            free = [
+                c for c in choices if c[0] != "drop" and (c[0] != "crash" or self._weight(c))
+            ]
             if script:
                 keys = {_stream_key(s) for s in script}
                 free = [c for c in free if _stream_key(c) not in keys]
@@ -892,28 +898,6 @@ class Runner:
                         f"script deadlock: step {script[-1]!r} never enabled"
                     )
             self.apply_choice(free[0] if free else choices[0])
-
-    def _enabled(self, step: tuple) -> bool:
-        """Whether step is in enabled_choices("scripted"), read off the index."""
-        tag = step[0]
-        if tag in ("deliver", "drop"):
-            stream = self._slots.get(step[1:4], ()) if len(step) == 5 else ()
-            live = tag == "deliver" or step[1] in self.crashed
-            return live and step[-1] in range(len(stream))
-        if len(step) != 2:
-            return False
-        if tag == "pick":
-            return step[1] in [v.hex() for v in self.open_picks()]
-        return step in self._slots and not (tag == "timer" and self._proposals_to[step[1]])
-
-    def _fifo_skipped(self, choice: tuple) -> bool:
-        """Steps the FIFO tail never takes on its own: message loss, and
-        crashes whose seeded firing index is still in the future."""
-        if choice[0] == "drop":
-            return True
-        if choice[0] == "crash":
-            return self.event_index < self.crash_after.get(choice[1], 0)
-        return False
 
     def _check_budget(self) -> None:
         if self.event_index >= self.budget:
@@ -1128,12 +1112,12 @@ class _SeededChoices(Sequence):
     def __getitem__(self, i: int) -> tuple:
         if not 0 <= i < self.units + len(self.picks):
             raise IndexError(i)
-        if i >= self.units:
-            return ("pick", self.picks[i - self.units].hex())
         return self.locate(i)[0]
 
     def locate(self, i: int) -> tuple[tuple, int]:
-        """Entry i below the units, and the pending slot it stands for."""
+        """Entry i and the pending slot it stands for, _PICK for a pick."""
+        if i >= self.units:
+            return ("pick", self.picks[i - self.units].hex()), _PICK
         slot, twin = self.rn._tree.find(i)
         tag, x = self.rn.pending[slot]
         if tag != "deliver":

@@ -17,6 +17,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from biased_consensus import (
+    ArbitraryScript,
     Byzantine,
     Correct,
     CrashAt,
@@ -485,3 +486,35 @@ def test_the_owner_relation_matches_the_case_split_with_timers_crashes_and_equiv
     for other in ("deliver", "drop", "crash", "decision"):
         assert {("crash", other, True), ("crash", other, False)} <= tags
     assert ("crash", "pick", False) in tags
+
+
+def test_a_decision_commutes_with_a_base_drop_to_its_node():
+    # Node 6 sends node 0 a base message at start, and node 5, the only node
+    # that proposes on its votes, wakes the fast deciders and then crashes.
+    # Node 0 joins on node 6's message, so once the pick is made its
+    # decision is pending together with the drop of node 5's wakeup to it.
+    faults = [Correct()] * 7
+    faults[5] = CrashAt(1)
+    faults[6] = Byzantine(ArbitraryScript(((6, 0, MsgKind.BASE, V, b""),)))
+    sc = _scenario(7, 2, FailureModel.BYZANTINE_EXTERNAL, (V,) * 5 + (U, V), tuple(faults))
+    rn = Runner(sc, record_trace=False)
+    rn.start_batch()
+    while votes := [c for c in rn.enabled_choices("explore") if c[3:4] == ("proposal",)]:
+        rn.apply_choice(votes[0])
+    rn.apply_choice(("crash", 5))
+    for node in (1, 2, 3, 4):
+        rn.apply_choice(("deliver", 5, node, "base", 0))
+    rn.apply_choice(("deliver", 6, 0, "base", 0))
+    rn.apply_choice(("pick", V.hex()))
+    decision, drop = ("decision", 0), ("drop", 5, 0, "base", 0)
+    assert {decision, drop} <= set(rn.enabled_choices("explore"))
+    assert rn.machines[0].joined_base
+    keys = []
+    for order in ((decision, drop), (drop, decision)):
+        child = rn.clone()
+        for c in order:
+            child.apply_choice(c)
+        keys.append(child.state_key())
+    assert keys[0] == keys[1]
+    assert _independent(decision, drop, rn) and _independent(drop, decision, rn)
+    assert not _reference_independent(decision, drop, rn)   # the case split keeps the order

@@ -18,7 +18,11 @@ from pathlib import Path
 import pytest
 
 from biased_consensus import (
+    ArbitraryScript,
+    Byzantine,
     Correct,
+    CrashAt,
+    Exhaustive,
     FailureModel,
     FullValue,
     MissingGolden,
@@ -79,6 +83,26 @@ def test_byte_payload_spellings():
     assert serialize_scenario(parse_scenario(serialize_scenario(sc))) == (
         serialize_scenario(sc)
     )
+
+
+def test_crash_arbitrary_and_exhaustive_entries_round_trip():
+    cfg = OptimizerConfig(9, 2, FullValue(V), FailureModel.BYZANTINE_CLASSICAL)
+    sends = ((8, 0, MsgKind.PROPOSAL, U, b""), (8, 1, MsgKind.FULL, V, b"\x01p"))
+    sc = Scenario(
+        cfg=cfg,
+        initial_values=(FullValue(V),) * 9,
+        faults=(Correct(),) * 7 + (CrashAt(3), Byzantine(ArbitraryScript(sends))),
+        schedule=Exhaustive(max_leaves=7, max_events=99),
+    )
+    text = serialize_scenario(sc)
+    nodes = sorted(json.loads(text)["nodes"], key=lambda nd: nd["id"])
+    assert nodes[7]["fault"] == {"at_event": 3, "kind": "crash"}
+    assert nodes[8]["fault"]["strategy"]["sends"][1] == {
+        "dst": 1, "msg": "full", "proof": "0170", "src": 8, "val": {"text": "v"},
+    }
+    again = parse_scenario(text)
+    assert again == sc
+    assert serialize_scenario(again) == text
 
 
 @pytest.mark.parametrize(

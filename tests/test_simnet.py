@@ -16,9 +16,11 @@ from biased_consensus import (
     ConfigError,
     Correct,
     CrashAt,
+    Decide,
     DecisionPath,
     Envelope,
     Equivocate,
+    Exhaustive,
     FailureModel,
     FullValue,
     ImpersonationAttempt,
@@ -47,6 +49,7 @@ from biased_consensus.simnet import correct_live
 
 V = b"v"
 U = b"u"
+W = b"w"
 
 
 def _scenario(n, f, model, values, faults, schedule, **kw):
@@ -128,11 +131,39 @@ def test_late_crash_respects_its_seeded_firing_index():
     assert trace.decisions[0].value == trace.decisions[1].value == V
 
 
+def test_the_fifo_tail_takes_no_drop_and_no_crash_before_its_index():
+    # The script crashes node 4 with envelopes still in flight, so their
+    # drops are listed for the rest of the run; node 3's crash is listed
+    # from the start but gated on index 16 in the tail.
+    script = (("deliver", 4, 0, "proposal", 0), ("crash", 4))
+    trace = run(_scenario(
+        5, 2, FailureModel.BENIGN, (V, U, V, U, V),
+        (Correct(), Correct(), Correct(), CrashAt(16), CrashAt(1)), Scripted(script),
+    ))
+    assert trace.script[:2] == list(script) and len(trace.script) > 16
+    assert [(ev["i"], ev["node"]) for ev in trace.events if ev["ev"] == "crash"] == [
+        (1, 4), (16, 3),   # held back until its index, then first in line
+    ]
+    assert not any(ev["ev"] == "drop" for ev in trace.events)
+    assert any(ev["ev"] == "deliver" and ev["src"] == 4 and ev["i"] > 1 for ev in trace.events)
+    assert trace.violations == []
+
+
 def test_drop_of_live_senders_envelope_is_rejected():
     rn = Runner(_benign3())
     rn.start_batch()
     with pytest.raises(ScenarioInvalid):
         rn.apply_choice(("drop", 0, 1, "proposal", 0))
+
+
+def _assert_refused(rn: Runner, choice: tuple) -> None:
+    """choice is not listed, and applying it raises and changes nothing."""
+    assert choice not in rn.enabled_choices("scripted")
+    pending, index, applied = dict(rn.pending), rn.event_index, list(rn.applied)
+    with pytest.raises(ScenarioInvalid, match="no pending"):
+        rn.apply_choice(choice)
+    assert rn.pending == pending and rn.event_index == index
+    assert rn.applied == applied
 
 
 @pytest.mark.parametrize(
@@ -143,15 +174,33 @@ def test_drop_of_live_senders_envelope_is_rejected():
         ("deliver", 0, 0, "proposal", 0),
         ("timer", 0),                       # no timers without a timeout
         ("decision", 0),                    # nothing picked yet
+        ("deliver", 0, 1, "proposal"),      # scripts add the k, callers do not
+        ("pick", V.hex()),                  # no base instance to pick for
     ],
 )
 def test_choices_without_a_pending_event_are_rejected(choice):
     rn = Runner(_benign3())
     rn.start_batch()
-    before = dict(rn.pending)
-    with pytest.raises(ScenarioInvalid, match="no pending"):
-        rn.apply_choice(choice)
-    assert rn.pending == before
+    _assert_refused(rn, choice)
+
+
+def test_a_timer_with_votes_pending_is_rejected():
+    # Classical timeout n=4 f=1: node 0's timer waits for all three votes.
+    rn = Runner(Scenario(
+        cfg=OptimizerConfig(
+            4, 1, FullValue(V), FailureModel.BYZANTINE_CLASSICAL, sync_timeout=1.0
+        ),
+        initial_values=tuple(FullValue(v) for v in (V, U, V, U)),
+        faults=(Correct(),) * 4,
+        schedule=Seeded(0),
+    ))
+    rn.start_batch()
+    _assert_refused(rn, ("timer", 0))
+    votes = [("deliver", 1, 0, "proposal", 0), ("deliver", 2, 0, "proposal", 0)]
+    for step in votes:
+        rn.apply_choice(step)
+    _assert_refused(rn, ("timer", 0))   # the vote from node 3 is still pending
+    assert rn.machines[0].phase is Phase.COLLECTING
 
 
 def _reference_seeded_choices(rn: Runner) -> list[tuple]:
@@ -290,7 +339,7 @@ def _check_the_head_test(sc: Scenario, seed: int) -> Counter:
                 if v not in rn.base_legal:
                     probes.append((("pick", v.hex()), "pick outside the legal set"))
         for step, kind in probes:
-            assert rn._enabled(step) == (step in listed), (step, kind)
+            assert (rn._slot_of(step) is not None) == (step in listed), (step, kind)
             seen[kind] += 1
         if not choices:
             return seen
@@ -535,6 +584,21 @@ def test_validate_scenario_rejections():
     )
     with pytest.raises(ScenarioInvalid, match="2 actual faults exceed f=1"):
         validate_scenario(over)
+    timed = _scenario(
+        4, 1, FailureModel.BYZANTINE_CLASSICAL, (V,) * 4,
+        (Correct(),) * 3 + (CrashAt(2),), Seeded(0),
+    )
+    timed.cfg = dataclasses.replace(timed.cfg, sync_timeout=1.0)
+    with pytest.raises(ScenarioInvalid, match="crash faults unsupported in the timeout"):
+        validate_scenario(timed)
+    searched = _benign3()
+    searched.base, searched.schedule = "floodset", Exhaustive()
+    with pytest.raises(ScenarioInvalid, match="exhaustive exploration requires the oracle"):
+        validate_scenario(searched)
+    eig = _scenario(4, 1, FailureModel.BYZANTINE_EXTERNAL, (V,) * 4, (Correct(),) * 4, Seeded(0))
+    eig.base = "eig"
+    with pytest.raises(ScenarioInvalid, match="eig base requires binary_domain"):
+        validate_scenario(eig)
 
 
 class _ProposesTwice(OptimizerNode):
@@ -553,6 +617,56 @@ def test_a_second_base_proposal_is_a_join_once_violation():
     assert ("join-once", "node 2 proposed more than once") in trace.violations
     assert [k for k, _ in trace.violations] == ["join-once"]
     assert set(trace.decisions) == {0, 1, 2}   # the run still finished
+
+
+class _DecidesTwice(OptimizerNode):
+    """A faulty machine: every decision it makes, it makes twice."""
+
+    def on_proposal(self, sender, val):
+        actions = super().on_proposal(sender, val)
+        return actions + [a for a in actions if isinstance(a, Decide)]
+
+
+class _DecidesW(OptimizerNode):
+    """A faulty machine: it decides w, which nobody proposed, for its own."""
+
+    def on_proposal(self, sender, val):
+        return [
+            dataclasses.replace(a, value=W) if isinstance(a, Decide) else a
+            for a in super().on_proposal(sender, val)
+        ]
+
+
+@pytest.mark.parametrize(
+    "model, stub, kinds",
+    [
+        (FailureModel.BENIGN, _DecidesTwice, ["decide-once"]),
+        (FailureModel.BENIGN, _DecidesW, ["agreement", "benign-validity"]),
+        (FailureModel.BYZANTINE_EXTERNAL, _DecidesW, ["agreement", "external-validity"]),
+    ],
+)
+def test_the_audit_records_a_faulty_machines_decisions(model, stub, kinds):
+    # All preferred: node 0 fast-decides on its last vote, and w is invalid.
+    sc = _scenario(4, 1, model, (V,) * 4, (Correct(),) * 4, Seeded(3), validity={W: False})
+    rn = Runner(sc)
+    rn.machines[0] = stub(sc.cfg, 0, sc.initial_values[0], sc.predicate())
+    trace = rn.run()
+    assert [k for k, _ in trace.violations] == kinds
+    assert set(trace.decisions) == {0, 1, 2, 3}   # the run still finished
+
+
+def test_no_legal_value_leaves_every_node_undecided():
+    # External validity, and neither input is valid: the base instance has
+    # nothing it may decide, so the mixed round never settles.
+    sc = _scenario(
+        4, 1, FailureModel.BYZANTINE_EXTERNAL, (U, W, U, W), (Correct(),) * 4, Seeded(0),
+        validity={U: False, W: False},
+    )
+    trace = run(sc)
+    kinds = [k for k, _ in trace.violations]
+    assert kinds == ["no-legal-value"] + ["termination"] * 4
+    assert trace.violations[1:] == [("termination", f"node {i} never decided") for i in range(4)]
+    assert trace.decisions == {}
 
 
 def test_concrete_floodset_base_settles_mixed_inputs():
