@@ -7,9 +7,9 @@ base consensus into a worst-case branch point for exploration instead of a
 source of incidental schedule noise.
 
 For demonstrations over a real protocol three synchronous-round engines are
-provided: a flooding protocol for crash faults (f + 1 rounds), a phase-king
-protocol for the classical Byzantine model (n > 4f), and an EIG-style
-protocol for the binary external model (n > 3f).
+provided, each within its row of core.BOUNDS: flooding for crash faults (f + 1
+rounds, f < n), phase king for the classical Byzantine model (n > 4f), and an
+EIG-style protocol for the binary external model (n > 3f).
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .core import (
     OptimizerConfig,
     PreconditionViolation,
     ValidityPredicate,
+    check_bound,
 )
 
 
@@ -183,8 +184,7 @@ def run_phase_king(
     the king's value.
     """
     byz = dict(byz or {})
-    if 4 * f >= n:
-        raise PreconditionViolation(f"phase king needs n > 4f, got n={n} f={f}")
+    check_bound("phase_king", n, f, PreconditionViolation)
     if len(byz) > f:
         raise PreconditionViolation(f"{len(byz)} Byzantine nodes exceed f={f}")
     correct = sorted(p for p in proposals if p not in byz)
@@ -257,8 +257,7 @@ def run_eig(
     default.
     """
     byz = dict(byz or {})
-    if 3 * f >= n:
-        raise PreconditionViolation(f"EIG needs n > 3f, got n={n} f={f}")
+    check_bound("eig", n, f, PreconditionViolation)
     if len(byz) > f:
         raise PreconditionViolation(f"{len(byz)} Byzantine nodes exceed f={f}")
     correct = sorted(p for p in proposals if p not in byz)

@@ -2,8 +2,8 @@
 
 A node's proposal is a payload plus an optional validity proof.  Payload
 equality is byte equality; proofs never participate in comparisons.  The
-optimizer configuration pins the failure model, the resiliency bound and the
-globally preferred value.
+optimizer configuration pins the failure model and the preferred value; BOUNDS
+says which configurations exist and what f each one, and each base, tolerates.
 """
 
 from __future__ import annotations
@@ -22,11 +22,11 @@ class ConfigError(ValueError):
 
 
 class ResiliencyViolation(ConfigError):
-    """f is too large for the failure model's strict bound."""
+    """f is past a row of BOUNDS."""
 
 
 class InvalidVariant(ConfigError):
-    """A variant (proof-aware, timeout, straw man) outside the model it fits."""
+    """A model and variant flags (proof-aware, timeout, straw man) with no row in BOUNDS."""
 
 
 class DegenerateSystem(ConfigError):
@@ -138,12 +138,11 @@ def table_validity(table: Mapping[bytes, bool], default: bool = True) -> Validit
 class OptimizerConfig:
     """System-wide parameters for one optimizer instance.
 
-    straw_man deliberately weakens the classical model to the f < n/3 bound
-    with a presence-based adoption rule; it exists so the lower-bound
-    scenarios can run a configuration that validate_config would otherwise
-    reject.  It fits only the proof-oblivious classical model without a
-    timeout.  sync_timeout switches the optimizer to the timeout variant
-    (classical model, relaxed f < n/3 bound).
+    straw_man swaps the classical vote rule for a presence-based adoption
+    rule; it exists so the lower-bound scenarios can run a configuration that
+    is unsound by design.  sync_timeout switches the optimizer to the timeout
+    variant.  Which combinations exist, and what f each tolerates, is the
+    configuration's row in BOUNDS.
     """
 
     n: int
@@ -161,14 +160,31 @@ class OptimizerConfig:
         return self.n - self.f
 
 
-def _bound_holds(cfg: OptimizerConfig) -> bool:
-    if cfg.model is FailureModel.BENIGN:
-        return 2 * cfg.f < cfg.n
-    if cfg.model is FailureModel.BYZANTINE_CLASSICAL:
-        if cfg.straw_man or cfg.sync_timeout is not None:
-            return 3 * cfg.f < cfg.n
-        return 4 * cfg.f < cfg.n
-    return 3 * cfg.f < cfg.n
+# Row name -> (role, model, k); a row holds exactly when k * f < n, so k = 0 is
+# no bound at all.  An "optimizer" row names a configuration, its model plus
+# every variant flag set; a "base" row names a base serving model.  A system
+# tolerates f only where its optimizer row and its base's row both hold.
+BOUNDS: dict[str, tuple[str, FailureModel, int]] = {
+    "benign": ("optimizer", FailureModel.BENIGN, 2),
+    "byzantine_classical": ("optimizer", FailureModel.BYZANTINE_CLASSICAL, 4),
+    "byzantine_classical straw man": ("optimizer", FailureModel.BYZANTINE_CLASSICAL, 3),
+    "byzantine_classical timeout": ("optimizer", FailureModel.BYZANTINE_CLASSICAL, 0),
+    "byzantine_external": ("optimizer", FailureModel.BYZANTINE_EXTERNAL, 3),
+    "byzantine_external proof-aware": ("optimizer", FailureModel.BYZANTINE_EXTERNAL, 3),
+    "floodset": ("base", FailureModel.BENIGN, 1),
+    "phase_king": ("base", FailureModel.BYZANTINE_CLASSICAL, 4),
+    "eig": ("base", FailureModel.BYZANTINE_EXTERNAL, 3),
+    # The base the paper assumes: oral-message agreement needs n > 3f (Lamport,
+    # Shostak & Pease 1982).  Only the timeout variant's own row is weaker.
+    "oracle": ("base", FailureModel.BYZANTINE_CLASSICAL, 3),
+}
+
+
+def check_bound(name: str, n: int, f: int, error: type[Exception]) -> None:
+    """Raise error unless the row name of BOUNDS holds at n and f."""
+    role, _, k = BOUNDS[name]
+    if k * f >= n:
+        raise error(f"{name} {role} needs n > {k}f, got n={n} f={f}")
 
 
 def validate_config(cfg: OptimizerConfig) -> OptimizerConfig:
@@ -181,17 +197,15 @@ def validate_config(cfg: OptimizerConfig) -> OptimizerConfig:
         raise DegenerateSystem(f"n={cfg.n}: need at least two nodes")
     if cfg.f < 0:
         raise ConfigError(f"negative fault count f={cfg.f}")
-    if cfg.variant is Variant.PROOF_AWARE and cfg.model is not FailureModel.BYZANTINE_EXTERNAL:
-        raise InvalidVariant("proof-aware variant requires the external-validity model")
-    if cfg.sync_timeout is not None and cfg.model is not FailureModel.BYZANTINE_CLASSICAL:
-        raise InvalidVariant("timeout variant is defined for the classical model only")
-    if cfg.straw_man and not (
-        cfg.model is FailureModel.BYZANTINE_CLASSICAL and cfg.sync_timeout is None
-    ):
-        # The presence rule replaces only the classical proof-oblivious vote rule.
-        raise InvalidVariant("straw man needs the classical model and no timeout")
-    if not _bound_holds(cfg):
-        raise ResiliencyViolation(
-            f"model {cfg.model.value} does not tolerate f={cfg.f} at n={cfg.n}"
-        )
+    flags = (
+        ("proof-aware", cfg.variant is Variant.PROOF_AWARE),
+        ("timeout", cfg.sync_timeout is not None),
+        ("straw man", cfg.straw_man),
+    )
+    name = " ".join([cfg.model.value] + [flag for flag, on in flags if on])
+    if name not in BOUNDS:
+        raise InvalidVariant(f"no {name} configuration exists")
+    for row in (name, "oracle"):
+        if BOUNDS[row][1] is cfg.model:
+            check_bound(row, cfg.n, cfg.f, ResiliencyViolation)
     return cfg

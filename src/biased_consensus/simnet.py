@@ -40,6 +40,7 @@ from .base import (
     run_phase_king,
 )
 from .core import (
+    BOUNDS,
     ConfigError,
     ConsistencyViolation,
     FailureModel,
@@ -53,6 +54,7 @@ from .core import (
     ScenarioInvalid,
     ValidityPredicate,
     Variant,
+    check_bound,
     table_validity,
     validate_config,
 )
@@ -217,7 +219,7 @@ class Scenario:
     schedule: Schedule
     validity: dict[bytes, bool] = field(default_factory=dict)
     validity_default: bool = True
-    base: str = "oracle"   # oracle | floodset | phase_king | eig
+    base: str = "oracle"   # the name of a base row in BOUNDS
     name: str = ""
 
     def predicate(self) -> ValidityPredicate:
@@ -242,15 +244,9 @@ def validate_scenario(sc: Scenario) -> Scenario:
     if cfg.sync_timeout is not None and crash:
         raise ScenarioInvalid("crash faults unsupported in the timeout variant")
     if sc.base != "oracle":
-        wanted = {
-            FailureModel.BENIGN: "floodset",
-            FailureModel.BYZANTINE_CLASSICAL: "phase_king",
-            FailureModel.BYZANTINE_EXTERNAL: "eig",
-        }[cfg.model]
-        if sc.base != wanted:
-            raise ScenarioInvalid(
-                f"base {sc.base!r} does not fit model {cfg.model.value}"
-            )
+        row = BOUNDS.get(sc.base) if isinstance(sc.base, str) else None
+        if row is None or row[:2] != ("base", cfg.model):
+            raise ScenarioInvalid(f"base {sc.base!r} does not fit model {cfg.model.value}")
         if isinstance(sc.schedule, Exhaustive):
             raise ScenarioInvalid("exhaustive exploration requires the oracle base")
         if sc.base == "eig" and not cfg.binary_domain:
@@ -262,10 +258,7 @@ def validate_scenario(sc: Scenario) -> Scenario:
                 f"one value each to n-1 nodes in its last round, past the event "
                 f"budget {event_budget()}"
             )
-        if sc.base == "phase_king" and cfg.n <= 4 * cfg.f:
-            raise ScenarioInvalid(
-                f"phase_king base needs n > 4f, got n={cfg.n} f={cfg.f}"
-            )
+        check_bound(sc.base, cfg.n, cfg.f, ScenarioInvalid)
     if isinstance(sc.schedule, Scripted):
         _check_steps(sc.schedule.steps, cfg.n)
     return sc
@@ -886,10 +879,10 @@ class Runner:
                     )
                 break
             self._check_budget()
-            # The FIFO tail takes no drop, and no crash before its seeded index.
-            free = [
-                c for c in choices if c[0] != "drop" and (c[0] != "crash" or self._weight(c))
-            ]
+            # The FIFO tail takes no crash before its seeded index.  Its first
+            # free choice is never a drop: a drop is listed right after its
+            # delivery twin, and _stream_key reserves both together.
+            free = [c for c in choices if c[0] != "crash" or self._weight(c)]
             if script:
                 keys = {_stream_key(s) for s in script}
                 free = [c for c in free if _stream_key(c) not in keys]

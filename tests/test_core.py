@@ -1,19 +1,29 @@
 from __future__ import annotations
 
+import itertools
+import math
+from collections import Counter
+
 import pytest
 
 from biased_consensus import (
     ConfigError,
+    Correct,
     DegenerateSystem,
     FailureModel,
     FullValue,
     InvalidVariant,
     OptimizerConfig,
     ResiliencyViolation,
+    Scenario,
+    ScenarioInvalid,
+    Seeded,
     Variant,
     table_validity,
     validate_config,
+    validate_scenario,
 )
+from biased_consensus.simnet import DEFAULT_EVENT_BUDGET
 
 V = b"v"
 
@@ -43,6 +53,80 @@ def test_resiliency_sweep_matches_inequalities():
                 else:
                     with pytest.raises(ResiliencyViolation):
                         validate_config(cfg)
+
+
+def _reference_verdict(cfg, base):
+    """What validate_scenario refused an otherwise well-formed scenario with
+    before the bounds became rows of one table: each variant's own fit check,
+    the per-model inequalities and the model's one concrete base.  Returns the
+    error type, or None for accepted."""
+    classical = cfg.model is FailureModel.BYZANTINE_CLASSICAL
+    if cfg.n < 2:
+        return DegenerateSystem
+    if cfg.f < 0:
+        return ConfigError
+    if cfg.variant is Variant.PROOF_AWARE and cfg.model is not FailureModel.BYZANTINE_EXTERNAL:
+        return InvalidVariant
+    if cfg.sync_timeout is not None and not classical:
+        return InvalidVariant
+    if cfg.straw_man and not (classical and cfg.sync_timeout is None):
+        return InvalidVariant
+    if not _oracle_tolerates(cfg.n, cfg.f, cfg.model, cfg.straw_man, cfg.sync_timeout is not None):
+        return ResiliencyViolation
+    if base == "oracle":
+        return None
+    wanted = {
+        FailureModel.BENIGN: "floodset",
+        FailureModel.BYZANTINE_CLASSICAL: "phase_king",
+        FailureModel.BYZANTINE_EXTERNAL: "eig",
+    }[cfg.model]
+    if base != wanted:
+        return ScenarioInvalid
+    if base == "eig" and not cfg.binary_domain:
+        return ScenarioInvalid
+    if base == "eig" and math.perm(cfg.n, cfg.f + 1) > DEFAULT_EVENT_BUDGET:
+        return ScenarioInvalid
+    if base == "phase_king" and cfg.n <= 4 * cfg.f:
+        return ScenarioInvalid
+    return None
+
+
+def test_every_configuration_keeps_its_verdict(monkeypatch):
+    """n from 1 to 20, f from -1 to n+1, every model, variant, flag and base
+    name, against the rules the bounds table replaced: the same verdict and
+    the same error type, never a KeyError or TypeError."""
+    monkeypatch.delenv("SIM_EVENT_BUDGET", raising=False)
+    verdicts = Counter()
+    for n in range(1, 21):
+        values, faults = (FullValue(V),) * n, (Correct(),) * n
+        for f, model, variant, timeout, straw_man, binary, base in itertools.product(
+            range(-1, n + 2),
+            FailureModel,
+            Variant,
+            (None, 1.0),
+            (False, True),
+            (False, True),
+            ("oracle", "floodset", "phase_king", "eig", "paxos"),
+        ):
+            cfg = OptimizerConfig(
+                n, f, FullValue(V), model, variant, timeout, binary, straw_man
+            )
+            sc = Scenario(cfg, values, faults, Seeded(0), base=base)
+            try:
+                validate_scenario(sc)
+                got = None
+            except (ConfigError, ScenarioInvalid) as e:
+                got = type(e)
+            assert got is _reference_verdict(cfg, base), (cfg, base, got)
+            verdicts[got] += 1
+    assert verdicts == {
+        None: 1_648,
+        InvalidVariant: 44_460,
+        ResiliencyViolation: 10_100,
+        ConfigError: 4_560,
+        ScenarioInvalid: 3_072,
+        DegenerateSystem: 960,
+    }
 
 
 def test_straw_man_relaxes_classical_bound_only():

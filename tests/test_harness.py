@@ -508,6 +508,20 @@ def test_cli_operator_errors_exit_one(tmp_path):
     assert strict.returncode == 1
     _assert_cli_started(strict)
     assert strict.stderr.startswith("error: n must be an integer, got '3'"), strict.stderr
+    past = json.loads(serialize_scenario(golden_set()[0].scenario))
+    assert (past["system"]["model"], past["system"]["n"]) == ("benign", 3)
+    past["system"]["f"] = 2
+    (tmp_path / "past.json").write_text(json.dumps(past))
+    refused = _cli("run", "--scenario", "past.json", cwd=tmp_path)
+    assert refused.returncode == 1
+    _assert_cli_started(refused)
+    assert refused.stderr.startswith("error: benign optimizer needs n > 2f, got n=3 f=2"), refused.stderr
+    past["system"].update(f=1, base="paxos")
+    (tmp_path / "past.json").write_text(json.dumps(past))
+    unknown = _cli("run", "--scenario", "past.json", cwd=tmp_path)
+    assert unknown.returncode == 1
+    _assert_cli_started(unknown)
+    assert "error: base 'paxos' does not fit model benign" in unknown.stderr, unknown.stderr
 
 
 @pytest.mark.parametrize(

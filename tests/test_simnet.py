@@ -577,6 +577,12 @@ def test_validate_scenario_rejections():
     mismatched_base.base = "phase_king"
     with pytest.raises(ScenarioInvalid):
         validate_scenario(mismatched_base)
+    # An operator's base name is looked up, never trusted: an optimizer row's
+    # name, JSON null or a list is no base either.
+    for name in ("benign", None, ["floodset"]):
+        mismatched_base.base = name
+        with pytest.raises(ScenarioInvalid, match="does not fit model benign"):
+            validate_scenario(mismatched_base)
     # The straw man gets no more faults than f either.
     sigma1 = lower_bound_sigma(1)[0].scenario   # n=4, f=1, one mimic
     over = dataclasses.replace(
