@@ -175,14 +175,7 @@ def _cmd_campaign(args) -> int:
     pool = [fl for fl in sc.faults if not isinstance(fl, Correct)]
     if not pool and sc.cfg.f > 0:
         pool = [CrashAt(0)]
-    report = random_campaign(
-        sc.cfg,
-        pool,
-        args.runs,
-        args.seed,
-        initial_values=sc.initial_values,
-        validity=sc.validity,
-    )
+    report = random_campaign(sc, pool, args.runs, args.seed)
     doc = {
         "base_message_runs": report.base_message_runs,
         "decided_values": {

@@ -141,8 +141,10 @@ class OptimizerConfig:
     straw_man swaps the classical vote rule for a presence-based adoption
     rule; it exists so the lower-bound scenarios can run a configuration that
     is unsound by design.  sync_timeout switches the optimizer to the timeout
-    variant.  Which combinations exist, and what f each tolerates, is the
-    configuration's row in BOUNDS.
+    variant; only whether it is set is read, since the simulator's timers
+    have no duration.  Only the scenario file's codec parses, checks and
+    writes back its value.  Which combinations exist, and what f each
+    tolerates, is the configuration's row in BOUNDS.
     """
 
     n: int

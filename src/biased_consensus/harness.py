@@ -5,13 +5,19 @@ payloads written as {"text": ...} when they decode cleanly to printable
 UTF-8 and {"hex": ...} otherwise.  Parsing accepts either spelling;
 serialization always emits the canonical one, so parse-then-serialize is the
 identity on canonical files and goldens stay byte-stable.
+
+Each record of the format is described once, as a table of fields (_SCENARIO
+and the tables it names); the writer, the reader with its defaults and
+strict types, and the unknown-key check all read those tables.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
-from typing import Any
+from operator import attrgetter, itemgetter
+from typing import Any, Callable, NamedTuple
 
 from .core import (
     FailureModel,
@@ -38,14 +44,11 @@ from .simnet import (
     CrashAt,
     Equivocate,
     Exhaustive,
-    Fault,
     MimicHonest,
     Scenario,
-    Schedule,
     Scripted,
     Seeded,
     Silent,
-    Strategy,
     Trace,
     correct_live,
     run,
@@ -53,7 +56,7 @@ from .simnet import (
 )
 
 
-# --- byte payload encoding --------------------------------------------------
+# --- values -----------------------------------------------------------------
 
 def _bytes_to_obj(b: bytes) -> dict:
     try:
@@ -74,276 +77,258 @@ def _bytes_from_obj(obj: Any, what: str) -> bytes:
     raise ScenarioInvalid(f"{what}: expected {{'text': str}} or {{'hex': str}}, got {obj!r}")
 
 
-def _fields(obj: Any, what: str, *allowed: str) -> dict:
-    """obj, checked to be an object whose keys are all among allowed."""
-    if not isinstance(obj, dict):
-        raise ScenarioInvalid(f"{what}: expected an object, got {obj!r}")
-    unknown = sorted(set(obj) - set(allowed))
-    if unknown:
-        raise ScenarioInvalid(f"{what}: unknown keys {unknown}")
-    return obj
+class _Codec(NamedTuple):
+    write: Callable[[Any], Any]         # value -> JSON
+    read: Callable[[Any, str], Any]     # (JSON, the name errors use) -> value
 
 
-def _flag(obj: dict, key: str, default: bool | None) -> bool:
-    value = obj.get(key, default)
-    if not isinstance(value, bool):
-        raise ScenarioInvalid(f"{key} must be true or false, got {value!r}")
+def _same(value: Any, _what: str = "") -> Any:
     return value
 
 
-def _int(value: Any, what: str) -> int:
-    """value, checked to be an integer: no string, float or bool stands in."""
-    if type(value) is not int:
-        raise ScenarioInvalid(f"{what} must be an integer, got {value!r}")
-    return value
+def _checked(ok: Callable[[Any], bool], kind: str) -> _Codec:
+    """A value written and read as it is, once ok(value) holds."""
 
-
-def _timeout(value: Any) -> float | None:
-    """sync_timeout: null, or a positive number; a bool is no number here."""
-    if value is None or type(value) in (int, float) and value > 0:
+    def read(value: Any, what: str) -> Any:
+        if not ok(value):
+            raise ScenarioInvalid(f"{what} must be {kind}, got {value!r}")
         return value
-    raise ScenarioInvalid(f"sync_timeout must be null or a positive number, got {value!r}")
+
+    return _Codec(_same, read)
 
 
-def _text(obj: dict, key: str) -> str:
-    value = obj.get(key, "")
-    if not isinstance(value, str):
-        raise ScenarioInvalid(f"{key} must be a string, got {value!r}")
-    return value
+def _count(least: int) -> _Codec:
+    return _checked(lambda v: type(v) is int and v >= least, f"an integer >= {least}")
 
 
-def _count(obj: dict, key: str, default: int, least: int) -> int:
-    value = obj.get(key, default)
-    if type(value) is not int or value < least:
-        raise ScenarioInvalid(f"{key} must be an integer >= {least}, got {value!r}")
-    return value
+# No string, float or bool stands in for an integer, and no bool for a number.
+_INT = _checked(lambda v: type(v) is int, "an integer")
+_TIMEOUT = _checked(lambda v: v is None or type(v) in (int, float) and v > 0,
+                    "null or a positive number")
+_FLAG = _checked(lambda v: isinstance(v, bool), "true or false")
+_TEXT = _checked(lambda v: isinstance(v, str), "a string")
+_PAYLOAD = _Codec(_bytes_to_obj, _bytes_from_obj)
+_PROOF = _Codec(bytes.hex, lambda value, _what: bytes.fromhex(value))
 
 
-# --- faults -----------------------------------------------------------------
-
-def _strategy_to_obj(s: Strategy) -> dict:
-    if isinstance(s, Silent):
-        return {"kind": "silent"}
-    if isinstance(s, Equivocate):
-        return {
-            "kind": "equivocate",
-            "targets_a": sorted(s.targets_a),
-            "val_a": _bytes_to_obj(s.val_a),
-            "val_b": _bytes_to_obj(s.val_b),
-        }
-    if isinstance(s, MimicHonest):
-        return {
-            "kind": "mimic_honest",
-            "proof": s.value.proof.hex(),
-            "value": _bytes_to_obj(s.value.val),
-        }
-    if isinstance(s, ArbitraryScript):
-        return {
-            "kind": "arbitrary",
-            "sends": [
-                {
-                    "dst": dst,
-                    "msg": kind.value,
-                    "proof": proof.hex(),
-                    "src": src,
-                    "val": _bytes_to_obj(val),
-                }
-                for src, dst, kind, val, proof in s.sends
-            ],
-        }
-    raise ScenarioInvalid(f"unknown strategy {s!r}")
+def _enum(cls: type) -> _Codec:
+    return _Codec(attrgetter("value"), lambda value, _what: cls(value))
 
 
-def _strategy_from_obj(obj: dict) -> Strategy:
-    kind = obj.get("kind") if isinstance(obj, dict) else None
-    if kind == "silent":
-        _fields(obj, "silent strategy", "kind")
-        return Silent()
-    if kind == "equivocate":
-        _fields(obj, "equivocate strategy", "kind", "targets_a", "val_a", "val_b")
-        return Equivocate(
-            _bytes_from_obj(obj["val_a"], "val_a"),
-            _bytes_from_obj(obj["val_b"], "val_b"),
-            frozenset(_int(t, "targets_a entry") for t in obj.get("targets_a", [])),
-        )
-    if kind == "mimic_honest":
-        _fields(obj, "mimic_honest strategy", "kind", "proof", "value")
-        return MimicHonest(
-            FullValue(
-                _bytes_from_obj(obj["value"], "value"),
-                bytes.fromhex(obj.get("proof", "")),
-            )
-        )
-    if kind == "arbitrary":
-        _fields(obj, "arbitrary strategy", "kind", "sends")
-        sends = []
-        for s in obj.get("sends", []):
-            _fields(s, "scripted send", "dst", "msg", "proof", "src", "val")
-            sends.append(
-                (
-                    _int(s["src"], "send src"),
-                    _int(s["dst"], "send dst"),
-                    MsgKind(s["msg"]),
-                    _bytes_from_obj(s["val"], "val"),
-                    bytes.fromhex(s.get("proof", "")),
-                )
-            )
-        return ArbitraryScript(tuple(sends))
-    raise ScenarioInvalid(f"unknown strategy kind {kind!r}")
+def _list(codec: Any) -> _Codec:
+    return _Codec(
+        lambda items: [codec.write(x) for x in items],
+        lambda value, what: tuple(codec.read(x, what) for x in value),
+    )
 
 
-def _fault_to_obj(fl: Fault) -> dict:
-    if isinstance(fl, Correct):
-        return {"kind": "correct"}
-    if isinstance(fl, CrashAt):
-        return {"at_event": fl.at_event, "kind": "crash"}
-    if isinstance(fl, Byzantine):
-        return {"kind": "byzantine", "strategy": _strategy_to_obj(fl.strategy)}
-    raise ScenarioInvalid(f"unknown fault {fl!r}")
+# --- records ----------------------------------------------------------------
+
+class _Field(NamedTuple):
+    """One key of a record: its codec, the raw JSON read like an input when
+    the key is absent (the default, ..., marks a required key), and the name
+    errors use when it is not the key ("{id}" stands for the record's raw
+    id).  A field whose key is None is a record without a name, whose keys
+    sit in this record's object and are checked with its keys."""
+
+    key: str | None
+    codec: Any
+    default: Any = ...
+    name: str = ""
 
 
-def _fault_from_obj(obj: dict) -> Fault:
-    kind = obj.get("kind") if isinstance(obj, dict) else None
-    if kind == "correct":
-        _fields(obj, "correct fault", "kind")
-        return Correct()
-    if kind == "crash":
-        _fields(obj, "crash fault", "kind", "at_event")
-        return CrashAt(_count(obj, "at_event", 0, 0))
-    if kind == "byzantine":
-        _fields(obj, "byzantine fault", "kind", "strategy")
-        return Byzantine(_strategy_from_obj(obj["strategy"]))
-    raise ScenarioInvalid(f"unknown fault kind {kind!r}")
+class _Record:
+    """A JSON object whose fields are, in table order, the constructor
+    arguments of the dataclass make and the attributes the writer reads, or
+    the items of a tuple when make is None.  Reading checks for unknown keys
+    first, then reads the fields in that order."""
+
+    def __init__(self, what: str, make: type | None, *fields: _Field) -> None:
+        self.what, self.make, self.fields = what, make, fields
+        get = attrgetter if make else itemgetter
+        names = [a.name for a in dataclasses.fields(make)] if make else range(len(fields))
+        self.writers = [(f.key, get(n), f.codec.write) for f, n in zip(fields, names, strict=True)]
+        self.keys = {k for f in fields for k in ([f.key] if f.key else f.codec.keys)}
+
+    def write(self, obj: Any) -> dict:
+        out = {}
+        for key, get, write in self.writers:
+            if key:
+                out[key] = write(get(obj))
+            else:
+                out.update(write(get(obj)))
+        return out
+
+    def read(self, obj: Any, _what: str = "") -> Any:
+        if self.what:   # a record without a name is checked with its parent
+            if not isinstance(obj, dict):
+                raise ScenarioInvalid(f"{self.what}: expected an object, got {obj!r}")
+            unknown = obj.keys() - self.keys
+            if unknown:
+                raise ScenarioInvalid(f"{self.what}: unknown keys {sorted(unknown)}")
+        values = []
+        for key, codec, default, name in self.fields:
+            value = obj if key is None else obj.get(key, default)
+            if value is ...:
+                raise KeyError(key)
+            values.append(codec.read(value, name.format_map(obj) if name else key))
+        return self.make(*values) if self.make else tuple(values)
 
 
-# --- schedules --------------------------------------------------------------
-
-def _schedule_to_obj(sched: Schedule) -> dict:
-    if isinstance(sched, Seeded):
-        return {"mode": "seeded", "seed": sched.seed}
-    if isinstance(sched, Scripted):
-        return {"mode": "scripted", "steps": [list(s) for s in sched.steps]}
-    if isinstance(sched, Exhaustive):
-        return {
-            "max_events": sched.max_events,
-            "max_leaves": sched.max_leaves,
-            "mode": "exhaustive",
-        }
-    raise ScenarioInvalid(f"unknown schedule {sched!r}")
+def _full_value(key: str, proof_key: str, name: str = "") -> _Field:
+    """A FullValue spans two keys: its payload and its hex proof."""
+    return _Field(None, _Record("", FullValue, _Field(key, _PAYLOAD, name=name),
+                                _Field(proof_key, _PROOF, "")))
 
 
-def _schedule_from_obj(obj: dict) -> Schedule:
-    mode = obj.get("mode") if isinstance(obj, dict) else None
-    if mode == "seeded":
-        _fields(obj, "seeded schedule", "mode", "seed")
-        return Seeded(_int(obj["seed"], "seed"))
-    if mode == "scripted":
-        _fields(obj, "scripted schedule", "mode", "steps")
-        return Scripted(tuple(tuple(s) for s in obj.get("steps", [])))
-    if mode == "exhaustive":
-        _fields(obj, "exhaustive schedule", "mode", "max_leaves", "max_events")
-        return Exhaustive(
-            _count(obj, "max_leaves", 200_000, 1),
-            _count(obj, "max_events", 5_000_000, 1),
-        )
-    raise ScenarioInvalid(f"unknown schedule mode {mode!r}")
+def _tagged(what: str, tag: str, classes: dict[str, tuple]) -> _Codec:
+    """A record whose tag key names its class.  Each tag gives the class and
+    the fields that are its constructor arguments; errors call the record
+    "{tag} {what}"."""
+    records = {
+        name: _Record(f"{name} {what}", cls, *fields) for name, (cls, *fields) in classes.items()
+    }
+    names = {record.make: name for name, record in records.items()}
+    for record in records.values():
+        record.keys.add(tag)
+
+    def write(obj: Any) -> dict:
+        if type(obj) not in names:
+            raise ScenarioInvalid(f"unknown {what} {obj!r}")
+        return {tag: names[type(obj)], **records[names[type(obj)]].write(obj)}
+
+    def read(obj: Any, _what: str) -> Any:
+        name = obj.get(tag) if isinstance(obj, dict) else None
+        if not isinstance(name, str) or name not in records:
+            raise ScenarioInvalid(f"unknown {what} {tag} {name!r}")
+        return records[name].read(obj)
+
+    return _Codec(write, read)
+
+
+# --- the scenario format ----------------------------------------------------
+
+# A scripted send is the tuple (src, dst, kind, val, proof).
+_SEND = _Record(
+    "scripted send", None,
+    _Field("src", _INT, name="send src"),
+    _Field("dst", _INT, name="send dst"),
+    _Field("msg", _enum(MsgKind)),
+    _Field("val", _PAYLOAD),
+    _Field("proof", _PROOF, ""),
+)
+
+_STRATEGY = _tagged("strategy", "kind", {
+    "silent": (Silent,),
+    "equivocate": (
+        Equivocate,
+        _Field("val_a", _PAYLOAD),
+        _Field("val_b", _PAYLOAD),
+        _Field("targets_a", _Codec(sorted, lambda value, what: frozenset(
+            _INT.read(t, what) for t in value)), [], "targets_a entry"),
+    ),
+    "mimic_honest": (MimicHonest, _full_value("value", "proof")),
+    "arbitrary": (ArbitraryScript, _Field("sends", _list(_SEND), [])),
+})
+
+_FAULT = _tagged("fault", "kind", {
+    "correct": (Correct,),
+    "crash": (CrashAt, _Field("at_event", _count(0), 0)),
+    "byzantine": (Byzantine, _Field("strategy", _STRATEGY)),
+})
+
+_SCHEDULE = _tagged("schedule", "mode", {
+    "seeded": (Seeded, _Field("seed", _INT)),
+    "scripted": (Scripted, _Field("steps", _list(_Codec(list, lambda s, _what: tuple(s))), [])),
+    "exhaustive": (
+        Exhaustive,
+        _Field("max_leaves", _count(1), 200_000),
+        _Field("max_events", _count(1), 5_000_000),
+    ),
+})
+
+# The system is the tuple (cfg, base, name); validate_scenario judges the base.
+_SYSTEM = _Record(
+    "system", None,
+    _Field(None, _Record(
+        "", OptimizerConfig,
+        _Field("n", _INT),
+        _Field("f", _INT),
+        _full_value("preferred", "preferred_proof"),
+        _Field("model", _enum(FailureModel)),
+        _Field("variant", _enum(Variant), "proof_oblivious"),
+        _Field("sync_timeout", _TIMEOUT, None),
+        _Field("binary_domain", _FLAG, False),
+        _Field("straw_man", _FLAG, False),
+    )),
+    _Field("base", _Codec(_same, _same), "oracle"),
+    _Field("name", _TEXT, ""),
+)
+
+# A node is the tuple (id, initial value, fault).
+_NODE = _Record(
+    "node", None,
+    _Field("id", _INT, name="node id"),
+    _full_value("value", "proof", "node {id} value"),
+    _Field("fault", _FAULT),
+)
+
+# A validity entry is the tuple (val, valid).
+_ENTRY = _Record(
+    "validity entry", None,
+    _Field("val", _PAYLOAD, name="validity entry"),
+    _Field("valid", _FLAG, None),
+)
+
+
+def _read_table(value: Any, _what: str) -> dict[bytes, bool]:
+    table = {}
+    for entry in value:
+        val, ok = _ENTRY.read(entry)
+        if val in table:
+            raise ScenarioInvalid(f"validity entry {entry['val']} is listed twice")
+        table[val] = ok
+    return table
+
+
+# Validity is the tuple (table, default); the writer lists the table sorted.
+_VALIDITY = _Record(
+    "validity", None,
+    _Field("table", _Codec(lambda table: [_ENTRY.write(e) for e in sorted(table.items())],
+                           _read_table), []),
+    _Field("default", _FLAG, True),
+)
+
+# The document is the tuple (system, nodes, validity, schedule).
+_SCENARIO = _Record(
+    "scenario", None,
+    _Field("system", _SYSTEM),
+    _Field("nodes", _list(_NODE)),
+    _Field("validity", _VALIDITY, {}),
+    _Field("schedule", _SCHEDULE),
+)
 
 
 # --- whole scenarios --------------------------------------------------------
 
 def scenario_to_obj(sc: Scenario) -> dict:
-    cfg = sc.cfg
-    return {
-        "nodes": [
-            {
-                "fault": _fault_to_obj(sc.faults[i]),
-                "id": i,
-                "proof": sc.initial_values[i].proof.hex(),
-                "value": _bytes_to_obj(sc.initial_values[i].val),
-            }
-            for i in range(cfg.n)
-        ],
-        "schedule": _schedule_to_obj(sc.schedule),
-        "system": {
-            "base": sc.base,
-            "binary_domain": cfg.binary_domain,
-            "f": cfg.f,
-            "model": cfg.model.value,
-            "n": cfg.n,
-            "name": sc.name,
-            "preferred": _bytes_to_obj(cfg.preferred.val),
-            "preferred_proof": cfg.preferred.proof.hex(),
-            "straw_man": cfg.straw_man,
-            "sync_timeout": cfg.sync_timeout,
-            "variant": cfg.variant.value,
-        },
-        "validity": {
-            "default": sc.validity_default,
-            "table": [
-                {"val": _bytes_to_obj(val), "valid": ok}
-                for val, ok in sorted(sc.validity.items())
-            ],
-        },
-    }
+    nodes = [(i, sc.initial_values[i], sc.faults[i]) for i in range(sc.cfg.n)]
+    system, validity = (sc.cfg, sc.base, sc.name), (sc.validity, sc.validity_default)
+    return _SCENARIO.write((system, nodes, validity, sc.schedule))
 
 
 def scenario_from_obj(obj: dict) -> Scenario:
     try:
-        _fields(obj, "scenario", "nodes", "schedule", "system", "validity")
-        system = _fields(
-            obj["system"], "system", "base", "binary_domain", "f", "model", "n", "name",
-            "preferred", "preferred_proof", "straw_man", "sync_timeout", "variant",
-        )
-        cfg = OptimizerConfig(
-            n=_int(system["n"], "n"),
-            f=_int(system["f"], "f"),
-            preferred=FullValue(
-                _bytes_from_obj(system["preferred"], "preferred"),
-                bytes.fromhex(system.get("preferred_proof", "")),
-            ),
-            model=FailureModel(system["model"]),
-            variant=Variant(system.get("variant", "proof_oblivious")),
-            sync_timeout=_timeout(system.get("sync_timeout")),
-            binary_domain=_flag(system, "binary_domain", False),
-            straw_man=_flag(system, "straw_man", False),
-        )
-        nodes = sorted(
-            (_fields(nd, "node", "fault", "id", "proof", "value") for nd in obj["nodes"]),
-            key=lambda nd: _int(nd["id"], "node id"),
-        )
-        if [nd["id"] for nd in nodes] != list(range(cfg.n)):
-            raise ScenarioInvalid("node ids must cover 0..n-1 exactly once")
-        initial = tuple(
-            FullValue(
-                _bytes_from_obj(nd["value"], f"node {nd['id']} value"),
-                bytes.fromhex(nd.get("proof", "")),
-            )
-            for nd in nodes
-        )
-        faults = tuple(_fault_from_obj(nd["fault"]) for nd in nodes)
-        validity_obj = _fields(obj.get("validity", {}), "validity", "default", "table")
-        validity = {}
-        for entry in validity_obj.get("table", []):
-            entry = _fields(entry, "validity entry", "val", "valid")
-            val = _bytes_from_obj(entry["val"], "validity entry")
-            if val in validity:
-                raise ScenarioInvalid(f"validity entry {entry['val']} is listed twice")
-            validity[val] = _flag(entry, "valid", None)
-        sc = Scenario(
-            cfg=cfg,
-            initial_values=initial,
-            faults=faults,
-            schedule=_schedule_from_obj(obj["schedule"]),
-            validity=validity,
-            validity_default=_flag(validity_obj, "default", True),
-            base=system.get("base", "oracle"),
-            name=_text(system, "name"),
-        )
+        (cfg, base, name), nodes, (table, default), schedule = _SCENARIO.read(obj)
     except ScenarioInvalid:
         raise
     except (KeyError, TypeError, ValueError) as e:
         raise ScenarioInvalid(f"malformed scenario document: {e}") from e
-    return validate_scenario(sc)
+    nodes = sorted(nodes, key=itemgetter(0))
+    if [i for i, _, _ in nodes] != list(range(cfg.n)):
+        raise ScenarioInvalid("node ids must cover 0..n-1 exactly once")
+    initial, faults = (tuple(node[k] for node in nodes) for k in (1, 2))
+    return validate_scenario(Scenario(cfg, initial, faults, schedule, table, default, base, name))
 
 
 def serialize_scenario(sc: Scenario) -> str:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence, Union
 
 from .core import (
@@ -377,31 +377,22 @@ class CampaignReport:
 
 
 def random_campaign(
-    cfg: OptimizerConfig,
-    strategies: Sequence[FaultTemplate],
-    runs: int,
-    seed: int,
-    initial_values: Sequence[FullValue] | None = None,
-    validity: dict[bytes, bool] | None = None,
+    template: Scenario, strategies: Sequence[FaultTemplate], runs: int, seed: int
 ) -> CampaignReport:
     """Seeded batch of randomized fault placements and delivery orders.
 
-    Each run faults a random subset of at most f nodes with templates drawn
-    from strategies (a template may be a Fault or a callable producing one
-    from the run's generator), then executes one seeded interleaving.
-    Deterministic for a given seed; runs execute sequentially so the report
-    is reproducible without any ordering caveats.
+    Each run is the template scenario, base and validity table included,
+    with a random subset of at most f nodes faulted by templates drawn from
+    strategies (a Fault, or a callable producing one from the run's
+    generator) and one seeded interleaving.  Deterministic for a given seed;
+    runs execute sequentially so the report is reproducible.
     """
+    cfg = template.cfg
     rng = random.Random(seed)
     report = CampaignReport()
     report.messages = {
         k.value: {"msgs": 0, "val_bytes": 0, "proof_bytes": 0} for k in MsgKind
     }
-    values = (
-        tuple(initial_values)
-        if initial_values is not None
-        else tuple(cfg.preferred for _ in range(cfg.n))
-    )
     for _ in range(runs):
         faults: list[Fault] = [Correct() for _ in range(cfg.n)]
         if strategies and cfg.f > 0:
@@ -409,13 +400,8 @@ def random_campaign(
             for node in rng.sample(range(cfg.n), count):
                 tpl = strategies[rng.randrange(len(strategies))]
                 faults[node] = tpl(rng) if callable(tpl) else tpl
-        sc = Scenario(
-            cfg=cfg,
-            initial_values=values,
-            faults=tuple(faults),
-            schedule=Seeded(rng.getrandbits(48)),
-            validity=dict(validity or {}),
-            name="campaign",
+        sc = replace(
+            template, faults=tuple(faults), schedule=Seeded(rng.getrandbits(48)), name="campaign"
         )
         trace = run(sc, record_trace=False)
         report.runs += 1

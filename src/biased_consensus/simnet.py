@@ -234,6 +234,10 @@ def validate_scenario(sc: Scenario) -> Scenario:
     crash = [i for i, fl in enumerate(sc.faults) if isinstance(fl, CrashAt)]
     if byz and cfg.model is FailureModel.BENIGN:
         raise ScenarioInvalid("Byzantine faults under the benign model")
+    for i in byz:   # only Equivocate names targets
+        stray = sorted(set(getattr(sc.faults[i].strategy, "targets_a", ())) - set(range(cfg.n)))
+        if stray:
+            raise ScenarioInvalid(f"node {i} equivocates to {stray}: no ids in 0..{cfg.n - 1}")
     if len(byz) + len(crash) > cfg.f:
         raise ScenarioInvalid(
             f"{len(byz) + len(crash)} actual faults exceed f={cfg.f}"

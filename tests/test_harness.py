@@ -206,6 +206,9 @@ def _arbitrary(**send) -> dict:
         (7, ("validity", "table"),
          [{"val": {"text": "v"}, "valid": False}, {"val": {"hex": "76"}, "valid": False}],
          r"validity entry \{'hex': '76'\} is listed twice"),
+        # An equivocation target that names no node.
+        (1, (*_BYZ4, "targets_a"), [99],
+         r"node 4 equivocates to \[99\]: no ids in 0..4"),
     ],
 )
 def test_strategies_nodes_and_integers_are_read_strictly(golden, path, value, match):
@@ -455,23 +458,49 @@ def test_cli_rejects_a_bad_event_budget(tmp_path, monkeypatch):
 
 def test_cli_campaign(tmp_path):
     assert _cli("scenario", "--name", "figure1", "--f", "1", cwd=tmp_path).returncode == 0
-    out = _cli(
-        "campaign",
-        "--scenario",
-        str(tmp_path / "figure1-benign-f1.scenario.json"),
-        "--runs",
-        "40",
-        "--seed",
-        "3",
-        "--summary",
-        "c.json",
-        cwd=tmp_path,
+    # A campaign runs the file's base and its validity default, not the
+    # oracle and "everything valid": the phase-king runs send base traffic,
+    # and the external runs decide u, the one value the table lets through.
+    king = Scenario(
+        cfg=OptimizerConfig(5, 1, FullValue(V), FailureModel.BYZANTINE_CLASSICAL),
+        initial_values=tuple(FullValue(x) for x in (V, V, U, U, V)),
+        faults=(Correct(),) * 5,
+        schedule=Seeded(1),
+        base="phase_king",
     )
-    assert out.returncode == 0, out.stderr
-    doc = json.loads((tmp_path / "c.json").read_text())
-    assert doc["runs"] == 40
-    assert doc["violation_runs"] == 0
-    assert 0.0 <= doc["fast_rate"] <= 1.0
+    external = Scenario(
+        cfg=OptimizerConfig(4, 1, FullValue(V), FailureModel.BYZANTINE_EXTERNAL),
+        initial_values=tuple(FullValue(x) for x in (V, V, U, U)),
+        faults=(Correct(),) * 4,
+        schedule=Seeded(1),
+        validity={U: True},
+        validity_default=False,
+    )
+    save_scenario(king, str(tmp_path / "king.json"))
+    save_scenario(external, str(tmp_path / "external.json"))
+    for spath, holds in [
+        (tmp_path / "figure1-benign-f1.scenario.json", lambda doc: True),
+        (tmp_path / "king.json", lambda doc: doc["messages"]["base"]["msgs"] > 0),
+        (tmp_path / "external.json", lambda doc: set(doc["decided_values"]) == {U.hex()}),
+    ]:
+        out = _cli(
+            "campaign",
+            "--scenario",
+            str(spath),
+            "--runs",
+            "40",
+            "--seed",
+            "3",
+            "--summary",
+            "c.json",
+            cwd=tmp_path,
+        )
+        assert out.returncode == 0, out.stderr
+        doc = json.loads((tmp_path / "c.json").read_text())
+        assert doc["runs"] == 40
+        assert doc["violation_runs"] == 0
+        assert 0.0 <= doc["fast_rate"] <= 1.0
+        assert holds(doc), (spath.name, doc)
 
 
 def test_cli_verify_goldens(tmp_path):

@@ -6,11 +6,14 @@ import pytest
 
 from biased_consensus import (
     Byzantine,
+    Correct,
     DecisionPath,
     Equivocate,
     FailureModel,
     FullValue,
     OptimizerConfig,
+    Scenario,
+    Seeded,
     Silent,
     crash_from_start,
     crash_midway,
@@ -77,9 +80,15 @@ def _external_cfg(n=7, f=2):
     return OptimizerConfig(n, f, FullValue(V), FailureModel.BYZANTINE_EXTERNAL)
 
 
+def _template(cfg, values=None):
+    """A campaign template: every node correct, all inputs preferred unless given."""
+    values = values or (cfg.preferred,) * cfg.n
+    return Scenario(cfg, tuple(values), (Correct(),) * cfg.n, Seeded(0))
+
+
 def test_campaign_all_preferred_with_crash_faults_is_all_fast():
     report = random_campaign(
-        _external_cfg(), (crash_from_start, crash_midway), runs=200, seed=11
+        _template(_external_cfg()), (crash_from_start, crash_midway), runs=200, seed=11
     )
     assert report.runs == 200
     assert report.fast_rate == 1.0
@@ -91,11 +100,10 @@ def test_campaign_all_preferred_with_crash_faults_is_all_fast():
 def test_campaign_mixed_inputs_stay_safe_but_lose_the_fast_path():
     values = tuple(FullValue(V) for _ in range(6)) + (FullValue(U),)
     report = random_campaign(
-        _external_cfg(),
+        _template(_external_cfg(), values),
         (crash_from_start, crash_midway),
         runs=200,
         seed=11,
-        initial_values=values,
     )
     assert report.violation_runs == 0
     # The dissenting node sometimes crashes away, so a few runs still finish
@@ -107,7 +115,7 @@ def test_campaign_mixed_inputs_stay_safe_but_lose_the_fast_path():
 def test_campaign_with_byzantine_strategies_never_violates():
     cfg = OptimizerConfig(9, 2, FullValue(V), FailureModel.BYZANTINE_CLASSICAL)
     report = random_campaign(
-        cfg,
+        _template(cfg),
         (Byzantine(Silent()), Byzantine(Equivocate(V, U, frozenset({0, 1, 2})))),
         runs=150,
         seed=5,
@@ -118,7 +126,7 @@ def test_campaign_with_byzantine_strategies_never_violates():
 
 
 def test_campaign_zero_runs_gives_an_empty_report():
-    report = random_campaign(_external_cfg(), (), runs=0, seed=1)
+    report = random_campaign(_template(_external_cfg()), (), runs=0, seed=1)
     assert report.runs == 0
     assert report.fast_rate == 0.0
     assert not report.decided_values
@@ -126,7 +134,7 @@ def test_campaign_zero_runs_gives_an_empty_report():
 
 
 def test_campaign_reports_are_reproducible():
-    args = (_external_cfg(), (crash_from_start, crash_midway))
+    args = (_template(_external_cfg()), (crash_from_start, crash_midway))
     assert random_campaign(*args, runs=120, seed=11) == random_campaign(
         *args, runs=120, seed=11
     )
