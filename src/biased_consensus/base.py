@@ -78,26 +78,19 @@ class BaseInstance:
             # A proposer that crashed afterwards still got its value into the
             # protocol, so it stays a candidate and breaks unanimity.
             crashed_ids = set(crashed)
-            pool = live + [fv.val for p, fv in self.proposals.items() if p in crashed_ids]
-            if len(set(pool)) == 1:
-                return [pool[0]]
-            return sorted(set(pool))
-        if len(set(live)) == 1:
-            return [live[0]]
-        if flavor is BaseFlavor.EXTERNAL:
-            if valid is None:
-                raise PreconditionViolation("external flavor needs a validity predicate")
-            ok = sorted(
-                {
-                    fv.val
-                    for p, fv in self.proposals.items()
-                    if p in live_ids and valid(fv)
-                }
-            )
-            if not ok:
-                raise NoLegalValue("no valid proposal among correct proposers")
-            return ok
-        return sorted(set(live))
+            live += [fv.val for p, fv in self.proposals.items() if p in crashed_ids]
+        values = sorted(set(live))
+        # Unanimous correct proposers bind even the external flavor, valid or not.
+        if flavor is not BaseFlavor.EXTERNAL or len(values) == 1:
+            return values
+        if valid is None:
+            raise PreconditionViolation("external flavor needs a validity predicate")
+        ok = sorted(
+            {fv.val for p, fv in self.proposals.items() if p in live_ids and valid(fv)}
+        )
+        if not ok:
+            raise NoLegalValue("no valid proposal among correct proposers")
+        return ok
 
     def decide(self, value: bytes, legal: Iterable[bytes]) -> bytes:
         if self.decided is not None:

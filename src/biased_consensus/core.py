@@ -61,12 +61,12 @@ class NoLegalValue(ProtocolError):
     """External-validity base instance has no valid proposal to decide on."""
 
 
-class ImpersonationAttempt(ProtocolError):
-    """A Byzantine strategy tried to emit an envelope under a foreign sender id."""
-
-
 class ScenarioInvalid(ProtocolError):
     pass
+
+
+class ImpersonationAttempt(ScenarioInvalid):
+    """A Byzantine strategy tried to emit an envelope under a foreign sender id."""
 
 
 class NonQuiescence(ProtocolError):

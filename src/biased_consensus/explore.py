@@ -239,7 +239,7 @@ def _independent(a: tuple, b: tuple, rn: Runner) -> bool:
         if kind == _PROPOSAL:
             # In the timeout variant votes buffer until the timer: no trigger.
             return rn.cfg.sync_timeout is not None or len(m.votes) + 1 != rn.cfg.threshold
-        if kind == _FULL and m.phase is Phase.FULL_EXCHANGE and not m.full_evaluated:
+        if kind == _FULL and m.phase is Phase.FULL_EXCHANGE:
             return len(m.fullvals) + 1 != rn.cfg.threshold
         # Full values outside an open exchange, or two live base wakeups: the
         # first wakeup joins, and which one it is does not change the state.
@@ -267,7 +267,7 @@ def _deliver_noop(c: tuple, rn: Runner) -> bool:
             return True
         return (
             m.phase not in (Phase.COLLECTING, Phase.FULL_EXCHANGE)
-            and (m.broadcast_full or src in m.replied_to)
+            and src in m.full_sent_to
         )
     # Base observation: a no-op unless it could trigger the one-time join —
     # machines still collecting might yet fast-decide, so only settled
@@ -305,7 +305,7 @@ def _persistent(enabled: list[tuple], rn: Runner) -> list[tuple]:
 
     The cache needs no cycle proviso, because the state graph is acyclic:
     each choice consumes a pending event or the one pick, and creates events
-    only as a machine or the base moves forward (phases, books, replied_to).
+    only as a machine or the base moves forward (phases, books, full_sent_to).
     The exception, a dropped wakeup re-sent, comes from a different, live
     source, which must crash, consuming a pending crash, before it drops.
     Deliveries to different receivers commute at the level of outcomes, as
@@ -334,7 +334,7 @@ def _persistent(enabled: list[tuple], rn: Runner) -> list[tuple]:
             # y may yet send x a full value by broadcasting or by answering x.
             sends = m is not None and y != x and y not in rn.crashed and (
                 m.phase is Phase.COLLECTING or (x, y, _FULL) in streams
-                and not m.broadcast_full and x not in m.replied_to)
+                and x not in m.full_sent_to)
             if sends and not _deliver_noop(("deliver", y, x, _FULL, 0), rn):
                 out.add(y)
         return out

@@ -100,16 +100,13 @@ class OptimizerNode:
         self.votes = VoteSet()
         self.phase = Phase.COLLECTING
         self.joined_base = False
-        self.started = False
-        self.decision: Decide | None = None
 
     # -- event handlers ------------------------------------------------------
 
     def start(self) -> list[Action]:
-        if self.started:
+        # The self-vote marks the start: no envelope reaches its own sender.
+        if not self.votes.add(self.node_id, self.my_value.val):
             raise AlreadyStarted(f"node {self.node_id} started twice")
-        self.started = True
-        self.votes.add(self.node_id, self.my_value.val)
         # Payload only: no proof crosses the wire in the first round.
         return [Broadcast(MsgKind.PROPOSAL, self.my_value.val)]
 
@@ -143,8 +140,7 @@ class OptimizerNode:
     def on_base_decision(self, value: bytes) -> list[Action]:
         if self.phase is Phase.IN_BASE:
             self.phase = Phase.DONE
-            self.decision = Decide(value, DecisionPath.BASE)
-            return [self.decision]
+            return [Decide(value, DecisionPath.BASE)]
         if self.phase is Phase.FAST_DECIDED:
             if not self.joined_base:
                 raise PreconditionViolation(
@@ -171,14 +167,9 @@ class OptimizerNode:
             raise PreconditionViolation(
                 f"node {self.node_id}: timeout in phase {self.phase.value}"
             )
-        pref = self.cfg.preferred
-        if len(self.votes) == self.cfg.n and self.votes.all_equal(pref.val):
+        if len(self.votes) == self.cfg.n and self.votes.all_equal(self.cfg.preferred.val):
             return self._decide_fast()
-        # The rule itself refuses to run on fewer than n - f votes.
-        adopts = adoption_criteria(
-            self.cfg.model, self.votes, pref, self.cfg.f, self.cfg.n, self.valid
-        )
-        return self._enter_base(pref if adopts else self.my_value)
+        return self._mixed_round()
 
     # -- internals -----------------------------------------------------------
 
@@ -188,16 +179,17 @@ class OptimizerNode:
 
     def _decide_fast(self) -> list[Action]:
         self.phase = Phase.FAST_DECIDED
-        self.decision = Decide(self.cfg.preferred.val, DecisionPath.FAST)
-        return [self.decision]
+        return [Decide(self.cfg.preferred.val, DecisionPath.FAST)]
 
     def _enter_base(self, value: FullValue) -> list[Action]:
         self.phase = Phase.IN_BASE
         return [ProposeToBase(value)]
 
     def _mixed_round(self) -> list[Action]:
-        """n - f votes, not all preferred: enter the base instance with the
-        preferred value if the adoption rule holds, else with one's own."""
+        """No fast decision on the votes held (n - f at the threshold, or all
+        received when the timer fires): enter the base instance with the
+        preferred value if the adoption rule holds, else with one's own.  The
+        rule itself refuses to run on fewer than n - f votes."""
         adopts = adoption_criteria(
             rule_model(self.cfg),
             self.votes,
@@ -213,7 +205,7 @@ class OptimizerNode:
         vote book once the machine stops collecting."""
         collecting = self.phase is Phase.COLLECTING
         votes = tuple(sorted(self.votes.entries.items())) if collecting else None
-        return (self.phase, self.decision, self.joined_base, votes)
+        return (self.phase, self.joined_base, votes)
 
     def copy(self) -> "OptimizerNode":
         # Explicit assignments: a generic __dict__ copy is markedly slower,
@@ -227,6 +219,4 @@ class OptimizerNode:
         dup.votes = self.votes.copy()
         dup.phase = self.phase
         dup.joined_base = self.joined_base
-        dup.started = self.started
-        dup.decision = self.decision
         return dup

@@ -5,7 +5,8 @@ path (everyone prefers the same value) no proof byte ever crosses the wire.
 Only when some node sees a mixed first round does it broadcast its full value
 (payload + proof) and wait for n - f full values before running the adoption
 rule over them.  Any node receiving a full value answers once with its own
-full value so the sender's wait can complete, and that upper handler stays
+full value so the sender's wait can complete, unless its full value already
+reached the sender; a broadcast reaches everyone.  That upper handler stays
 armed even after a fast decision.
 
 Everything else (the first round, the fast decision, joining and leaving the
@@ -44,15 +45,16 @@ class ProofAwareNode(OptimizerNode):
     ) -> None:
         super().__init__(cfg, node_id, my_value, valid)
         self.fullvals: dict[NodeId, FullValue] = {}
-        self.replied_to: set[NodeId] = set()
-        self.broadcast_full = False
-        self.full_evaluated = False
+        # Whom this node's full value has reached: a broadcast adds every id.
+        self.full_sent_to: set[NodeId] = set()
 
     # Rebound here so perfbench's tracer, which patches class bodies, times each variant.
     on_proposal = OptimizerNode.on_proposal
 
     def on_full(self, sender: NodeId, value: FullValue) -> list[Action]:
-        """Record a full value (first per sender wins) and answer once.
+        """Record a full value (first per sender wins) and answer once,
+        unless our full value already reached the sender (a broadcast reaches
+        everyone).
 
         Armed in every phase, including after a fast decision: the sender is
         stuck waiting for n - f full values and needs ours.
@@ -60,8 +62,8 @@ class ProofAwareNode(OptimizerNode):
         self._check_sender(sender)
         actions: list[Action] = []
         self.fullvals.setdefault(sender, value)
-        if not self.broadcast_full and sender not in self.replied_to:
-            self.replied_to.add(sender)
+        if sender not in self.full_sent_to:
+            self.full_sent_to.add(sender)
             actions.append(
                 SendTo(sender, MsgKind.FULL, self.my_value.val, self.my_value.proof)
             )
@@ -71,10 +73,11 @@ class ProofAwareNode(OptimizerNode):
     # -- internals -----------------------------------------------------------
 
     def _mixed_round(self) -> list[Action]:
-        """Switch to the full-value exchange instead of adopting on votes."""
+        """Switch to the full-value exchange instead of adopting on votes; the
+        broadcast takes this node's full value to everyone."""
         self.phase = Phase.FULL_EXCHANGE
         self.fullvals.setdefault(self.node_id, self.my_value)
-        self.broadcast_full = True
+        self.full_sent_to = set(range(self.cfg.n))
         actions: list[Action] = [
             Broadcast(MsgKind.FULL, self.my_value.val, self.my_value.proof)
         ]
@@ -83,13 +86,9 @@ class ProofAwareNode(OptimizerNode):
         return actions
 
     def _maybe_finish_exchange(self) -> list[Action]:
-        if (
-            self.phase is not Phase.FULL_EXCHANGE
-            or self.full_evaluated
-            or len(self.fullvals) < self.cfg.threshold
-        ):
+        # The exchange is open exactly while the phase is FULL_EXCHANGE.
+        if self.phase is not Phase.FULL_EXCHANGE or len(self.fullvals) < self.cfg.threshold:
             return []
-        self.full_evaluated = True
         adopted = adoption_criteria_full(
             self.cfg.model,
             self.fullvals,
@@ -103,17 +102,13 @@ class ProofAwareNode(OptimizerNode):
     def state_key(self) -> tuple:
         # Full values count in arrival order (the rule adopts the first
         # carrier) and with their proofs, until the exchange is evaluated.
-        live = self.phase in (Phase.COLLECTING, Phase.FULL_EXCHANGE)
         full = None
-        if live and not self.full_evaluated:
+        if self.phase in (Phase.COLLECTING, Phase.FULL_EXCHANGE):
             full = tuple((s, fv.val, fv.proof) for s, fv in self.fullvals.items())
-        exchange = (self.broadcast_full, self.full_evaluated, full)
-        return super().state_key() + (tuple(sorted(self.replied_to)),) + exchange
+        return super().state_key() + (tuple(sorted(self.full_sent_to)), full)
 
     def copy(self) -> "ProofAwareNode":
         dup = super().copy()
         dup.fullvals = dict(self.fullvals)
-        dup.replied_to = set(self.replied_to)
-        dup.broadcast_full = self.broadcast_full
-        dup.full_evaluated = self.full_evaluated
+        dup.full_sent_to = set(self.full_sent_to)
         return dup

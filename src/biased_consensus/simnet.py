@@ -161,11 +161,8 @@ def correct_live(faults: Sequence[Fault], crashed: Container[NodeId]) -> list[No
 def byzantine_emit(
     strategy: Strategy, node: NodeId, n: int
 ) -> list[tuple[NodeId, NodeId, MsgKind, bytes, bytes]]:
-    """First-round emissions for a non-mimicking Byzantine node.
-
-    Every emission must carry the emitting node's true id; a scripted attempt
-    to write someone else's id raises ImpersonationAttempt.
-    """
+    """First-round emissions for a non-mimicking Byzantine node.  A
+    scripted node's sends were checked when the scenario was validated."""
     if isinstance(strategy, Silent):
         return []
     if isinstance(strategy, Equivocate):
@@ -177,15 +174,6 @@ def byzantine_emit(
             out.append((node, dst, MsgKind.PROPOSAL, val, b""))
         return out
     if isinstance(strategy, ArbitraryScript):
-        for send in strategy.sends:
-            if send[0] != node:
-                raise ImpersonationAttempt(
-                    f"node {node} tried to emit as node {send[0]}"
-                )
-            if not 0 <= send[1] < n or send[1] == node:
-                raise ScenarioInvalid(f"bad destination in scripted send {send!r}")
-            if not send[3]:
-                raise ScenarioInvalid(f"empty payload in scripted send {send!r}")
         return list(strategy.sends)
     raise ScenarioInvalid(f"strategy {strategy!r} has no start emission")
 
@@ -234,10 +222,21 @@ def validate_scenario(sc: Scenario) -> Scenario:
     crash = [i for i, fl in enumerate(sc.faults) if isinstance(fl, CrashAt)]
     if byz and cfg.model is FailureModel.BENIGN:
         raise ScenarioInvalid("Byzantine faults under the benign model")
-    for i in byz:   # only Equivocate names targets
-        stray = sorted(set(getattr(sc.faults[i].strategy, "targets_a", ())) - set(range(cfg.n)))
-        if stray:
-            raise ScenarioInvalid(f"node {i} equivocates to {stray}: no ids in 0..{cfg.n - 1}")
+    for i in byz:
+        strategy = sc.faults[i].strategy
+        if isinstance(strategy, Equivocate):
+            stray = sorted(set(strategy.targets_a) - set(range(cfg.n)))
+            if stray:
+                raise ScenarioInvalid(f"node {i} equivocates to {stray}: no ids in 0..{cfg.n - 1}")
+        elif isinstance(strategy, ArbitraryScript):
+            # Every emission carries the emitting node's true id.
+            for send in strategy.sends:
+                if send[0] != i:
+                    raise ImpersonationAttempt(f"node {i} tried to emit as node {send[0]}")
+                if not 0 <= send[1] < cfg.n or send[1] == i:
+                    raise ScenarioInvalid(f"bad destination in scripted send {send!r}")
+                if not send[3]:
+                    raise ScenarioInvalid(f"empty payload in scripted send {send!r}")
     if len(byz) + len(crash) > cfg.f:
         raise ScenarioInvalid(
             f"{len(byz) + len(crash)} actual faults exceed f={cfg.f}"
@@ -775,7 +774,7 @@ class Runner:
         if env.kind is MsgKind.PROPOSAL:
             actions = m.on_proposal(env.src, env.val)
         elif env.kind is MsgKind.FULL:
-            if isinstance(m, ProofAwareNode) and env.val:
+            if isinstance(m, ProofAwareNode):
                 actions = m.on_full(env.src, FullValue(env.val, env.proof))
             else:
                 actions = []   # proof-oblivious machines ignore stray fullvals

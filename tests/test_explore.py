@@ -168,6 +168,42 @@ def test_the_cache_reports_its_states_and_hits():
     assert (plain.states, plain.cache_hits) == (0, 0)
 
 
+def test_the_search_counts_are_pinned():
+    """(events, leaves, states, cache hits) of four fixed searches, so any
+    change to what the state key tells apart shows up here."""
+    proofs = {V: b"pv", U: b"pu"}
+    proof_aware = Scenario(
+        cfg=OptimizerConfig(
+            4, 1, FullValue(V, proofs[V]), FailureModel.BYZANTINE_EXTERNAL,
+            variant=Variant.PROOF_AWARE,
+        ),
+        initial_values=tuple(FullValue(x, proofs[x]) for x in (V, V, U, U)),
+        faults=(Correct(),) * 3 + (Byzantine(Silent()),),
+        schedule=Exhaustive(),
+    )
+    searches = {
+        "benign n5 mixed": _scenario(
+            5, 2, FailureModel.BENIGN, (V, V, V, U, U), (Correct(),) * 5
+        ),
+        "sigma3 properly bounded": sigma3_properly_bounded(1),
+        "proof-aware n4 silent": proof_aware,
+        "benign n4 crash": _scenario(
+            4, 1, FailureModel.BENIGN, (V, V, U, U), (Correct(),) * 3 + (CrashAt(1),)
+        ),
+    }
+    counts = {}
+    for name, sc in searches.items():
+        r = explore(sc)
+        assert not r.budget_exceeded and r.violation_count == 0
+        counts[name] = (r.events, r.leaves, r.states, r.cache_hits)
+    assert counts == {
+        "benign n5 mixed": (348, 8, 281, 68),
+        "sigma3 properly bounded": (95, 1, 81, 15),
+        "proof-aware n4 silent": (639, 1, 387, 231),
+        "benign n4 crash": (277, 6, 229, 45),
+    }
+
+
 def test_the_reduction_reaches_a_benign_crash_search():
     # Without a reduction that survives a pending crash this search takes
     # about 107k events; every outcome is known in closed form.
@@ -217,7 +253,7 @@ def test_the_reduction_waits_for_full_values_still_to_come():
     # Every node runs a proof-aware machine, node 0 mimicking one with u.
     # Reaching all-u needs the proof-aware rule: a node still collecting may
     # yet broadcast a full value a member would not ignore, so it joins that
-    # member's set.  The search takes about 100k events.
+    # member's set.  The search takes about 58k events.
     sc = Scenario(
         cfg=OptimizerConfig(
             4,
@@ -425,7 +461,7 @@ def _reference_delivers_commute(a, b, rn):
             return True
         return len(m.votes) + 1 != rn.cfg.threshold
     if akind == MsgKind.FULL.value:
-        if m.phase is Phase.FULL_EXCHANGE and not m.full_evaluated:
+        if m.phase is Phase.FULL_EXCHANGE:
             return len(m.fullvals) + 1 != rn.cfg.threshold
         return True
     return True

@@ -209,6 +209,9 @@ def _arbitrary(**send) -> dict:
         # An equivocation target that names no node.
         (1, (*_BYZ4, "targets_a"), [99],
          r"node 4 equivocates to \[99\]: no ids in 0..4"),
+        # A scripted send under another node's id, or to no node.
+        (1, _BYZ4, _arbitrary(src=2, dst=99), "node 4 tried to emit as node 2"),
+        (1, _BYZ4, _arbitrary(src=4, dst=99), "bad destination in scripted send"),
     ],
 )
 def test_strategies_nodes_and_integers_are_read_strictly(golden, path, value, match):

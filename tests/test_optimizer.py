@@ -42,8 +42,10 @@ def test_start_broadcasts_own_value_and_self_votes():
     acts = nd.start()
     assert acts == [Broadcast(MsgKind.PROPOSAL, U)]
     assert 0 in nd.votes and nd.votes.count_of(U) == 1
+    nd.on_proposal(1, V)
     with pytest.raises(AlreadyStarted):
         nd.start()
+    assert nd.votes.entries == {0: U, 1: V}   # the refused start left no trace
 
 
 def test_fast_decision_on_unanimous_preferred():
@@ -264,4 +266,4 @@ def test_fast_exactly_when_quorum_is_all_preferred(order):
             break
         nd.on_proposal(s, val)
     want_fast = all(x == V for x in quorum)
-    assert (nd.decision is not None and nd.decision.path is DecisionPath.FAST) == want_fast
+    assert (nd.phase is Phase.FAST_DECIDED) == want_fast

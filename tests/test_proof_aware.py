@@ -73,7 +73,7 @@ def test_mixed_round_broadcasts_full_value():
     acts = nd.on_proposal(2, U)
     assert acts == [Broadcast(MsgKind.FULL, V, PV)]
     assert nd.phase is Phase.FULL_EXCHANGE
-    assert nd.broadcast_full
+    assert nd.full_sent_to == set(range(4))
     # Own full value counts toward the wait immediately.
     assert nd.fullvals[0] == FullValue(V)
 
@@ -119,7 +119,7 @@ def test_no_reply_after_own_full_broadcast():
     nd.start()
     nd.on_proposal(1, V)
     nd.on_proposal(2, U)
-    assert nd.broadcast_full
+    assert nd.full_sent_to == set(range(4))
     acts = nd.on_full(3, FullValue(U, PU))
     assert not any(isinstance(a, SendTo) for a in acts)
 
@@ -177,6 +177,23 @@ def test_fast_decided_node_joins_base_once_and_checks_consistency():
     assert nd.on_base_message_observed() == []
     with pytest.raises(ConsistencyViolation):
         nd.on_base_decision(U)
+
+
+def test_whom_a_node_answered_before_its_broadcast_is_not_state():
+    """After the broadcast every node holds this node's full value, so a
+    node that answered node 3 first and one that did not end in one state."""
+    answered, silent = _node(), _node()
+    answered.start()
+    silent.start()
+    answered.on_full(3, FullValue(U, PU))   # answers node 3
+    for nd in (answered, silent):
+        nd.on_proposal(1, V)
+        nd.on_proposal(2, U)   # mixed: broadcast the full value
+    silent.on_full(3, FullValue(U, PU))    # no answer: the broadcast reached 3
+    for nd in (answered, silent):
+        nd.on_full(1, FullValue(V, PV))    # n - f full values: the exchange ends
+        assert nd.phase is Phase.IN_BASE
+    assert answered.state_key() == silent.state_key()
 
 
 def test_copy_is_independent():

@@ -534,14 +534,22 @@ def test_impersonation_is_rejected_at_start():
 
 
 def test_scripted_byzantine_send_validation():
-    with pytest.raises(ScenarioInvalid):
-        byzantine_emit(
-            ArbitraryScript(((4, 4, MsgKind.PROPOSAL, U, b""),)), 4, 5
-        )
-    with pytest.raises(ScenarioInvalid):
-        byzantine_emit(
-            ArbitraryScript(((4, 0, MsgKind.PROPOSAL, b"", b""),)), 4, 5
-        )
+    """Node 4's scripted sends are checked when the scenario is validated."""
+    def scripted(*sends):
+        faults = (Correct(),) * 4 + (Byzantine(ArbitraryScript(sends)),)
+        return _scenario(5, 1, FailureModel.BYZANTINE_CLASSICAL, (V,) * 5, faults, Seeded(0))
+
+    ok = scripted((4, 0, MsgKind.PROPOSAL, U, b""), (4, 3, MsgKind.FULL, V, b"p"))
+    assert validate_scenario(ok) is ok
+    for send, error, match in [
+        ((2, 0, MsgKind.PROPOSAL, U, b""), ImpersonationAttempt, "node 4 tried to emit as node 2"),
+        ((4, 4, MsgKind.PROPOSAL, U, b""), ScenarioInvalid, "bad destination"),
+        ((4, 99, MsgKind.PROPOSAL, U, b""), ScenarioInvalid, "bad destination"),
+        ((4, -1, MsgKind.PROPOSAL, U, b""), ScenarioInvalid, "bad destination"),
+        ((4, 0, MsgKind.PROPOSAL, b"", b""), ScenarioInvalid, "empty payload"),
+    ]:
+        with pytest.raises(error, match=match):
+            validate_scenario(scripted((4, 1, MsgKind.PROPOSAL, U, b""), send))
 
 
 def test_equivocation_splits_the_audience():
@@ -888,8 +896,8 @@ _RUNNER_NOT_STATE = {
     "_legal_sizes",
 }
 _MACHINE_NOT_STATE = {
-    # Fixed at construction, or (started) set once by start().
-    "cfg", "node_id", "my_value", "valid", "started",
+    # Fixed at construction.
+    "cfg", "node_id", "my_value", "valid",
 }
 
 
