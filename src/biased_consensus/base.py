@@ -271,12 +271,22 @@ def run_eig(
         level = rnd - 1
         relayed: dict[tuple, bytes] = {}
         received: dict[NodeId, dict[tuple, bytes]] = {p: {} for p in correct}
+        if rnd > f:
+            # The last round builds no leaves.  A relay's size is the shared
+            # bytes, less those under labels holding its sender, plus its own.
+            total, holding = 0, [0] * n
+            for lb, v in shared.items():
+                total += len(v)
+                for q in lb:
+                    holding[q] += len(v)
         for src in range(n):
             if src in own:
-                held = chain(shared.items(), own[src].items())
-                if rnd > f:   # the last round: size the relay, build no leaves
-                    nbytes = sum(map(len, [v for lb, v in held if src not in lb]))
+                if rnd > f:
+                    nbytes = total - holding[src] + sum(
+                        len(v) for lb, v in own[src].items() if src not in lb
+                    )
                 else:
+                    held = chain(shared.items(), own[src].items())
                     mine = {lb + (src,): v for lb, v in held if src not in lb}
                     nbytes = sum(map(len, mine.values()))   # the values, whatever the labels
                     relayed.update(mine)

@@ -117,7 +117,8 @@ class OptimizerNode:
         the collecting phase (or after the threshold already fired) are
         recorded for the trace but trigger nothing.
         """
-        self._check_sender(sender)
+        if not 0 <= sender < self.cfg.n:   # _check_sender, inline in the hottest handler
+            self._check_sender(sender)
         if not self.votes.add(sender, val):
             return []
         if (

@@ -27,8 +27,9 @@ import random
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import groupby
 from operator import itemgetter
-from typing import Container, Union
+from typing import Container, NamedTuple, Union
 
 from .base import (
     BaseInstance,
@@ -72,6 +73,7 @@ from .proof_aware import ProofAwareNode
 DEFAULT_EVENT_BUDGET = 1_000_000
 _KINDS = tuple(k.value for k in MsgKind)
 _PROPOSAL = MsgKind.PROPOSAL.value
+_FULL = MsgKind.FULL.value
 _BASE = MsgKind.BASE.value
 _PICK = -1   # the slot Runner._slot_of gives an open pick
 
@@ -288,20 +290,13 @@ def _check_steps(steps: Sequence, n: int) -> None:
 
 # --- envelopes, events, traces ----------------------------------------------
 
-@dataclass(frozen=True)
-class Envelope:
+class Envelope(NamedTuple):
     seq: int
     src: NodeId
     dst: NodeId
-    kind: MsgKind
+    kind: str   # the MsgKind's wire string, so env[1:4] is the stream key
     val: bytes
     proof: bytes
-    # Cached kind.value: enum attribute access is a descriptor call, and the
-    # pending index and the choice enumerators key every stream by it.
-    kindval: str = field(init=False, repr=False, compare=False, default="")
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "kindval", self.kind.value)
 
 
 @dataclass(frozen=True)
@@ -379,11 +374,11 @@ class Runner:
         # Pending events by slot, in the order choices list them, and indexes
         # derived from them: the slots of each stream in seq order, keyed by
         # (src, dst, kind) for envelopes and by the event itself for a crash,
-        # timer or decision; and pending proposals by destination.
+        # timer or decision; and, for timers to read, proposals by destination.
         self.pending: dict[int, tuple] = {}
         self._next_slot = 0
         self._slots: dict[tuple, tuple[int, ...]] = {}
-        self._proposals_to = [0] * n
+        self._proposals_to = [0] * n if self.cfg.sync_timeout is not None else None
         # Seeded runs add each slot's choice count, and the gated crashes'
         # (crash_after, slot), latest first.
         self._tree: _Fenwick | None = None
@@ -438,12 +433,10 @@ class Runner:
             if machine is not None:
                 self._apply_actions(node, machine.start(), rec)
             else:
-                for src, dst, kind, val, proof in byzantine_emit(
-                    fl.strategy, node, self.cfg.n
-                ):
-                    env = self._emit(src, dst, kind, val, proof)
-                    if rec is not None:
-                        rec["actions"].append(_fmt_send(dst, kind, val, proof, env.seq))
+                out = rec["actions"] if rec is not None else None
+                sends = byzantine_emit(fl.strategy, node, self.cfg.n)
+                for (src, kind, val, proof), run in groupby(sends, itemgetter(0, 2, 3, 4)):
+                    self._send(src, [s[1] for s in run], kind.value, val, proof, out)
             self._trace_event(rec)
         if self.cfg.sync_timeout is not None:
             for node in range(self.cfg.n):
@@ -451,34 +444,36 @@ class Runner:
                     self._add(("timer", node))
         self._post_event()
 
-    def _emit(
-        self, src: NodeId, dst: NodeId, kind: MsgKind, val: bytes, proof: bytes
-    ) -> Envelope:
-        env = Envelope(self.seq, src, dst, kind, val, proof)
-        self.seq += 1
-        c = self.counters[env.kindval]
-        c["msgs"] += 1
-        c["val_bytes"] += len(val)
-        c["proof_bytes"] += len(proof)
-        if self.machines[dst] is not None and dst not in self.crashed:
-            self._add(("deliver", env))
-        return env
+    def _send(
+        self, src: NodeId, dsts: Sequence[NodeId], kind: str, val: bytes, proof: bytes,
+        out: list | None,
+    ) -> None:
+        """Send one message from src to each of dsts, in order: count them,
+        queue an envelope for each node that can receive one, and list the
+        sends in out when traced."""
+        seq, sent = self.seq, len(dsts)
+        self.seq += sent
+        c = self.counters[kind]
+        c["msgs"] += sent
+        c["val_bytes"] += sent * len(val)
+        c["proof_bytes"] += sent * len(proof)
+        machines, crashed, add = self.machines, self.crashed, self._add
+        for i, dst in enumerate(dsts, seq):
+            if machines[dst] is not None and dst not in crashed:
+                add(("deliver", Envelope(i, src, dst, kind, val, proof)))
+        if out is not None:
+            tail = f" {kind} {val.hex()} {proof.hex()} #"
+            out.extend(f"send {dst}{tail}{i}" for i, dst in enumerate(dsts, seq))
 
     def _apply_actions(self, node: NodeId, actions: list, rec: dict | None) -> None:
         """Carry out a machine's actions, listing them in rec when traced."""
         out = rec["actions"] if rec is not None else None
         for a in actions:
             if isinstance(a, Broadcast):
-                for dst in range(self.cfg.n):
-                    if dst == node:
-                        continue
-                    env = self._emit(node, dst, a.kind, a.val, a.proof)
-                    if out is not None:
-                        out.append(_fmt_send(dst, a.kind, a.val, a.proof, env.seq))
+                others = [*range(node), *range(node + 1, self.cfg.n)]
+                self._send(node, others, a.kind.value, a.val, a.proof, out)
             elif isinstance(a, SendTo):
-                env = self._emit(node, a.to, a.kind, a.val, a.proof)
-                if out is not None:
-                    out.append(_fmt_send(a.to, a.kind, a.val, a.proof, env.seq))
+                self._send(node, (a.to,), a.kind.value, a.val, a.proof, out)
             elif isinstance(a, ProposeToBase):
                 if node in self.is_byz:
                     if not (self.base.proposals or self.byz_activator):
@@ -532,8 +527,7 @@ class Runner:
         src = self._base_traffic_source() if self._unwoken else None
         if src is not None:
             # In id order, the order a scan of the nodes would wake them.
-            for node in sorted(self._unwoken):
-                self._emit(src[0], node, MsgKind.BASE, src[1], b"")
+            self._send(src[0], sorted(self._unwoken), _BASE, src[1], b"", None)
             self._unwoken.clear()
         live = self._correct_live()
         # Proposals and crashes only accumulate: equal counts, equal legal set.
@@ -616,7 +610,7 @@ class Runner:
                 if slot in self.pending:
                     self._set_weight(slot)
             view = _SeededChoices(self)
-            if view:
+            if view.units or view.picks:
                 return view
             # Quiescent except for future crashes: let them fire late.
             return [ev for ev in self.pending.values() if ev[0] == "crash"]
@@ -624,7 +618,7 @@ class Runner:
         occ: dict[tuple, int] = {}
         for tag, x in self.pending.values():
             if tag == "deliver":
-                key = (x.src, x.dst, x.kindval)
+                key = x[1:4]
                 k = occ.get(key, 0)
                 occ[key] = k + 1
                 out.append(("deliver", *key, k))
@@ -700,9 +694,9 @@ class Runner:
         self._next_slot += 1
         self.pending[slot] = ev
         tag, x = ev
-        key = (x.src, x.dst, x.kindval) if tag == "deliver" else ev
+        key = x[1:4] if tag == "deliver" else ev
         self._slots[key] = self._slots.get(key, ()) + (slot,)
-        if tag == "deliver" and x.kindval == _PROPOSAL:
+        if self._proposals_to is not None and tag == "deliver" and x.kind == _PROPOSAL:
             self._count_proposal(x.dst, 1)
         if self._tree is not None:
             if slot < len(self._tree.w) and tag != "crash":
@@ -713,14 +707,15 @@ class Runner:
     def _remove(self, slot: int) -> tuple:
         ev = self.pending.pop(slot)
         tag, x = ev
-        key = (x.src, x.dst, x.kindval) if tag == "deliver" else ev
+        key = x[1:4] if tag == "deliver" else ev
         stream = self._slots.pop(key)
         if len(stream) > 1:
             self._slots[key] = tuple(s for s in stream if s != slot)
-        if tag == "deliver" and x.kindval == _PROPOSAL:
+        if self._proposals_to is not None and tag == "deliver" and x.kind == _PROPOSAL:
             self._count_proposal(x.dst, -1)
-        if self._tree is not None:
-            self._tree.set(slot, 0)
+        tree = self._tree
+        if tree is not None and tree.w[slot]:   # 0 if a seeded step took its only unit
+            tree.set(slot, 0)
         return ev
 
     def _count_proposal(self, dst: NodeId, delta: int) -> None:
@@ -758,41 +753,37 @@ class Runner:
     # -- dispatchers ---------------------------------------------------------
 
     def _dispatch_deliver(self, env: Envelope) -> None:
-        rec = None
-        if self.record_trace:
-            rec = {
-                "ev": "deliver",
-                "seq": env.seq,
-                "src": env.src,
-                "dst": env.dst,
-                "kind": env.kindval,
-                "val": env.val.hex(),
-                "proof": env.proof.hex(),
-                "actions": [],
-            }
-        m = self.machines[env.dst]
-        if env.kind is MsgKind.PROPOSAL:
-            actions = m.on_proposal(env.src, env.val)
-        elif env.kind is MsgKind.FULL:
+        seq, src, dst, kind, val, proof = env
+        m = self.machines[dst]
+        if kind == _PROPOSAL:
+            actions = m.on_proposal(src, val)
+        elif kind == _FULL:
             if isinstance(m, ProofAwareNode):
-                actions = m.on_full(env.src, FullValue(env.val, env.proof))
+                actions = m.on_full(src, FullValue(val, proof))
             else:
                 actions = []   # proof-oblivious machines ignore stray fullvals
         else:
             actions = m.on_base_message_observed()
-        self._apply_actions(env.dst, actions, rec)
-        self._trace_event(rec)
+        if self.record_trace:
+            rec = {
+                "ev": "deliver", "seq": seq, "src": src, "dst": dst, "kind": kind,
+                "val": val.hex(), "proof": proof.hex(), "actions": [],
+            }
+            self._apply_actions(dst, actions, rec)
+            self._trace_event(rec)
+        elif actions:
+            self._apply_actions(dst, actions, None)
 
     def _dispatch_drop(self, env: Envelope) -> None:
         dst = env.dst
-        if env.kindval == _BASE and dst not in self.crashed:
+        if env.kind == _BASE and dst not in self.crashed:
             # The wakeup was lost in flight; rearm so another live
             # participant's traffic can reach the bystander.
             m = self.machines[dst]
             if m.phase is Phase.FAST_DECIDED and not m.joined_base:
                 self._unwoken.add(dst)
         self._trace_event(
-            {"ev": "drop", "seq": env.seq, "src": env.src, "dst": dst, "kind": env.kindval}
+            {"ev": "drop", "seq": env.seq, "src": env.src, "dst": dst, "kind": env.kind}
         )
 
     def _dispatch_decision(self, node: NodeId) -> None:
@@ -850,16 +841,16 @@ class Runner:
         return self.trace()
 
     def _run_seeded(self, seed: int) -> None:
-        rng = random.Random(seed)
+        randrange = random.Random(seed).randrange
         while True:
             choices = self.enabled_choices("seeded")
             count = len(choices)
             if not count:
                 break
             self._check_budget()
-            i = rng.randrange(count)
+            i = randrange(count)
             if isinstance(choices, _SeededChoices):
-                self._apply(*choices.locate(i))
+                self._apply(*choices.take(i))
             else:
                 self.apply_choice(choices[i])
 
@@ -1003,7 +994,8 @@ class Runner:
         dup.crashed = set(self.crashed)
         dup.pending = dict(self.pending)
         dup._slots = dict(self._slots)
-        dup._proposals_to = list(self._proposals_to)
+        if self._proposals_to is not None:
+            dup._proposals_to = list(self._proposals_to)
         dup._tree, dup._gates = None, []
         dup.base = BaseInstance()
         dup.base.proposals = dict(self.base.proposals)
@@ -1031,7 +1023,7 @@ class Runner:
         for ev in self.pending.values():
             if ev[0] == "deliver":
                 e = ev[1]
-                inbox[e.dst].append((e.src, e.kindval, e.val, e.proof))
+                inbox[e.dst].append((e.src, e.kind, e.val, e.proof))
             else:
                 other.append(ev)
         base = self.base
@@ -1055,18 +1047,19 @@ class Runner:
 
 
 class _Fenwick:
-    """Prefix sums over per-slot weights (Fenwick, SP&E 1994): an update and
-    finding the slot that holds the r-th unit each take O(log n)."""
+    """Prefix sums over per-slot weights (Fenwick, SP&E 1994): an update,
+    finding the slot that holds the r-th unit, and taking that unit each
+    cost O(log n).  The capacity is the next power of two at or above
+    len(weights), so a descent from the root never leaves the tree."""
 
     def __init__(self, weights: list[int]):
-        self.w = weights
-        self.t = t = [0, *weights]
-        size = len(t)
-        for i in range(1, size):
-            j = i + (i & -i)
-            if j < size:
-                t[j] += t[i]
+        cap = 1 << (len(weights) - 1).bit_length()
+        self.w = weights + [0] * (cap - len(weights))
+        self.t = t = [0, *self.w]
+        for i in range(1, cap):
+            t[i + (i & -i)] += t[i]
         self.total = sum(weights)
+        self.steps = tuple(cap >> k for k in range(cap.bit_length()))   # a descent's strides
 
     def set(self, slot: int, weight: int) -> None:
         delta = weight - self.w[slot]
@@ -1081,21 +1074,37 @@ class _Fenwick:
 
     def find(self, r: int) -> tuple[int, int]:
         """The slot holding unit r, counted from 0 in slot order, and r's
-        offset within that slot's weight."""
-        t, size = self.t, len(self.t)
-        pos, step = 0, 1 << (size - 1).bit_length()
-        while step:
+        offset within that slot's weight; r < total."""
+        t, pos = self.t, 0
+        for step in self.steps:
             nxt = pos + step
-            if nxt < size and t[nxt] <= r:
+            if t[nxt] <= r:
                 pos = nxt
                 r -= t[nxt]
-            step >>= 1
+        return pos, r
+
+    def take(self, r: int) -> tuple[int, int]:
+        """find(r), removing unit r from the tree in the same descent: the
+        nodes it does not step past are exactly those that cover the slot."""
+        t, pos = self.t, 0
+        for step in self.steps:
+            nxt = pos + step
+            v = t[nxt]
+            if v <= r:
+                pos = nxt
+                r -= v
+            else:
+                t[nxt] = v - 1
+        self.w[pos] -= 1
+        self.total -= 1
         return pos, r
 
 
 class _SeededChoices(Sequence):
     """The seeded choice list read through the index: entry i is the i-th
     choice in queue order, found in O(log n) without listing the others."""
+
+    __slots__ = ("rn", "units", "picks")
 
     def __init__(self, rn: Runner):
         self.rn = rn
@@ -1108,19 +1117,22 @@ class _SeededChoices(Sequence):
     def __getitem__(self, i: int) -> tuple:
         if not 0 <= i < self.units + len(self.picks):
             raise IndexError(i)
-        return self.locate(i)[0]
+        return self._entry(i, self.rn._tree.find)[0]
 
-    def locate(self, i: int) -> tuple[tuple, int]:
-        """Entry i and the pending slot it stands for, _PICK for a pick."""
+    def take(self, i: int) -> tuple[tuple, int]:
+        """Entry i and the pending slot it stands for, _PICK for a pick,
+        with its unit taken from the index: the view is spent after."""
+        return self._entry(i, self.rn._tree.take)
+
+    def _entry(self, i: int, find) -> tuple[tuple, int]:
         if i >= self.units:
             return ("pick", self.picks[i - self.units].hex()), _PICK
-        slot, twin = self.rn._tree.find(i)
+        slot, twin = find(i)
         tag, x = self.rn.pending[slot]
         if tag != "deliver":
             return (tag, x), slot
-        key = (x.src, x.dst, x.kindval)
-        k = self.rn._slots[key].index(slot)
-        return ("drop" if twin else "deliver", *key, k), slot
+        key = x[1:4]
+        return ("drop" if twin else "deliver", *key, self.rn._slots[key].index(slot)), slot
 
 
 def run(scenario: Scenario, record_trace: bool = True) -> Trace:
@@ -1128,10 +1140,6 @@ def run(scenario: Scenario, record_trace: bool = True) -> Trace:
 
 
 # --- helpers ----------------------------------------------------------------
-
-def _fmt_send(dst: NodeId, kind: MsgKind, val: bytes, proof: bytes, seq: int) -> str:
-    return f"send {dst} {kind.value} {val.hex()} {proof.hex()} #{seq}"
-
 
 def _normalize_step(step) -> tuple:
     step = tuple(step)
