@@ -10,9 +10,11 @@ that breaks:
            views that correct nodes adopt it, and the system decides a
            value no correct node ever proposed.
 
-The recorded schedule of stage 3 is a replayable witness.  The same
-adversary against the properly bounded variant (f < n/4) is then explored
-exhaustively: no interleaving reproduces the breach.
+The recorded schedule of stage 3 is a replayable witness: the same
+scenario under that schedule as a Scripted one, which is the scenario file
+`bcsim run` writes.  The same adversary against the properly bounded
+variant (f < n/4) is then explored exhaustively: no interleaving reproduces
+the breach.
 """
 
 import dataclasses

@@ -11,12 +11,12 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from .core import (
     ConfigError,
     NonQuiescence,
     ProtocolError,
-    ScenarioInvalid,
 )
 from .explore import explore
 from .harness import (
@@ -64,17 +64,13 @@ def _build_parser() -> _Parser:
 
     runp = sub.add_parser("run", help="execute one scenario file")
     runp.add_argument("--scenario", required=True, help="scenario JSON path")
-    schedule = runp.add_mutually_exclusive_group()
-    schedule.add_argument("--seed", type=int, help="override the schedule with this seed")
-    schedule.add_argument(
-        "--script", help="witness JSON whose steps replace the schedule"
-    )
+    runp.add_argument("--seed", type=int, help="override the schedule with this seed")
     runp.add_argument("--trace", help="write the event trace (JSONL) here")
     runp.add_argument("--summary", help="write the metrics summary (JSON) here")
     runp.add_argument(
         "--witness-out",
         default=None,
-        help="where to write the violating schedule (default witness-<name>.json)",
+        help="where to write the violating run as a scenario file (default witness-<name>.json)",
     )
 
     exp = sub.add_parser("explore", help="search all interleavings of a scenario")
@@ -110,24 +106,10 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _write_witness(path: str, name: str, steps: list[tuple]) -> str:
-    doc = {"scenario": name, "steps": [list(s) for s in steps]}
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return path
-
-
 def _cmd_run(args) -> int:
     sc = load_scenario(args.scenario)
     if args.seed is not None:
         sc.schedule = Seeded(args.seed)
-    if args.script:
-        with open(args.script, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        steps = doc.get("steps") if isinstance(doc, dict) else None
-        if not isinstance(steps, list):
-            raise ScenarioInvalid(f"{args.script}: a witness is an object with a list of steps")
-        sc.schedule = Scripted(tuple(steps))   # the runner checks each step
     trace = run(sc)
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
@@ -141,10 +123,10 @@ def _cmd_run(args) -> int:
         print(f"node {node}: decided {val!r} via {d['path']} (round {d['rounds']})")
     if trace.violations:
         wpath = args.witness_out or f"witness-{sc.name or 'run'}.json"
-        _write_witness(wpath, sc.name, trace.script)
+        save_scenario(replace(sc, schedule=Scripted(tuple(trace.script))), wpath)
         for kind, detail in trace.violations:
             print(f"VIOLATION {kind}: {detail}")
-        print(f"witness script: {wpath}")
+        print(f"witness scenario: {wpath}")
         return 2
     print("ok: all invariants hold")
     return 0
@@ -163,8 +145,8 @@ def _cmd_explore(args) -> int:
         print(f"  {kind}: {count}")
     if report.witness is not None:
         wpath = args.witness_out or f"witness-{sc.name or 'explore'}.json"
-        _write_witness(wpath, sc.name, report.witness)
-        print(f"witness script: {wpath}")
+        save_scenario(replace(sc, schedule=Scripted(tuple(report.witness))), wpath)
+        print(f"witness scenario: {wpath}")
         return 2
     print("ok: no violations in explored space")
     return 0

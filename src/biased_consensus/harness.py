@@ -413,37 +413,36 @@ def write_goldens(directory: str) -> list[str]:
         ok, detail = check_expected(ns, trace)
         if not ok:
             raise ScenarioInvalid(f"golden {ns.name} failed its expectation: {detail}")
-        spath = os.path.join(directory, f"{ns.name}.scenario.json")
-        tpath = os.path.join(directory, f"{ns.name}.trace.jsonl")
-        save_scenario(ns.scenario, spath)
-        with open(tpath, "w", encoding="utf-8") as fh:
+        path = os.path.join(directory, f"{ns.name}.trace.jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(trace.serialize())
-        written.extend([spath, tpath])
+        written.append(path)
     return written
 
 
 def verify_goldens(directory: str) -> list[tuple[str, bool, str]]:
-    """Replay each checked-in scenario and diff its trace byte-for-byte."""
+    """Rerun the scenario each pinned trace opens with and diff the whole
+    trace byte-for-byte.  A golden is named by its file, and its first line
+    must hold a scenario of that name."""
     if not os.path.isdir(directory):
         raise MissingGolden(f"golden directory {directory!r} does not exist")
-    names = sorted(
-        fn[: -len(".scenario.json")]
-        for fn in os.listdir(directory)
-        if fn.endswith(".scenario.json")
-    )
-    if not names:
-        raise MissingGolden(f"no golden scenarios in {directory!r}")
+    files = sorted(fn for fn in os.listdir(directory) if fn.endswith(".trace.jsonl"))
+    if not files:
+        raise MissingGolden(f"no golden traces in {directory!r}")
     results: list[tuple[str, bool, str]] = []
-    for name in names:
-        spath = os.path.join(directory, f"{name}.scenario.json")
-        tpath = os.path.join(directory, f"{name}.trace.jsonl")
-        if not os.path.exists(tpath):
-            results.append((name, False, "trace file missing"))
-            continue
-        sc = load_scenario(spath)
-        fresh = run(sc).serialize()
-        with open(tpath, "r", encoding="utf-8") as fh:
+    for fn in files:
+        name = fn[: -len(".trace.jsonl")]
+        with open(os.path.join(directory, fn), "r", encoding="utf-8") as fh:
             pinned = fh.read()
+        try:
+            sc = scenario_from_obj(json.loads(pinned.partition("\n")[0])["scenario"])
+        except (ValueError, LookupError, TypeError, ScenarioInvalid) as e:
+            results.append((name, False, f"{fn}: no scenario on its first line: {e!r}"))
+            continue
+        if sc.name != name:
+            results.append((name, False, f"{fn}: its first line holds scenario {sc.name!r}"))
+            continue
+        fresh = run(sc).serialize()
         if fresh == pinned:
             results.append((name, True, "match"))
         else:

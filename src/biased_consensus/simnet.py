@@ -309,7 +309,7 @@ class DecisionRecord:
 
 @dataclass
 class Trace:
-    meta: dict
+    scenario: Scenario   # the run's own, written as the first line
     events: list[dict]
     decisions: dict[NodeId, DecisionRecord]
     counters: dict[str, dict[str, int]]
@@ -318,7 +318,9 @@ class Trace:
     final_phases: dict[NodeId, str]
 
     def serialize(self) -> str:
-        lines = [json.dumps({"meta": self.meta}, sort_keys=True)]
+        from .harness import scenario_to_obj   # harness imports this module
+
+        lines = [json.dumps({"scenario": scenario_to_obj(self.scenario)}, sort_keys=True)]
         for ev in self.events:
             lines.append(json.dumps(ev))
         footer = {
@@ -526,8 +528,10 @@ class Runner:
             return
         src = self._base_traffic_source() if self._unwoken else None
         if src is not None:
-            # In id order, the order a scan of the nodes would wake them.
-            self._send(src[0], sorted(self._unwoken), _BASE, src[1], b"", None)
+            # In id order, the order a scan of the nodes would wake them,
+            # listed with the event that woke them.
+            out = self.events[-1].setdefault("actions", []) if self.record_trace else None
+            self._send(src[0], sorted(self._unwoken), _BASE, src[1], b"", out)
             self._unwoken.clear()
         live = self._correct_live()
         # Proposals and crashes only accumulate: equal counts, equal legal set.
@@ -947,20 +951,6 @@ class Runner:
                         )
 
     def trace(self) -> Trace:
-        sched = self.sc.schedule
-        meta = {
-            "scenario": self.sc.name,
-            "n": self.cfg.n,
-            "f": self.cfg.f,
-            "model": self.cfg.model.value,
-            "variant": self.cfg.variant.value,
-            "preferred": self.cfg.preferred.val.hex(),
-            "binary_domain": self.cfg.binary_domain,
-            "straw_man": self.cfg.straw_man,
-            "base": self.sc.base,
-            "schedule": type(sched).__name__.lower(),
-            "seed": sched.seed if isinstance(sched, Seeded) else None,
-        }
         finals = {
             i: (
                 "crashed"
@@ -972,7 +962,7 @@ class Runner:
             for i in range(self.cfg.n)
         }
         return Trace(
-            meta=meta,
+            scenario=self.sc,
             events=self.events,
             decisions=dict(self.decisions),
             counters=self.counters,

@@ -30,6 +30,7 @@ from biased_consensus import (
     OptimizerConfig,
     Scenario,
     ScenarioInvalid,
+    Scripted,
     Seeded,
     Variant,
     run,
@@ -313,17 +314,33 @@ def test_summary_counts_the_exchange_round_for_the_proof_variant():
 
 def test_goldens_write_verify_and_corruption(tmp_path):
     written = write_goldens(str(tmp_path))
-    assert len(written) == 2 * len(golden_set())
+    assert len(written) == len(golden_set())
+    names = sorted(f"{ns.name}.trace.jsonl" for ns in golden_set())
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
     assert all(ok for _name, ok, _detail in verify_goldens(str(tmp_path)))
     victim = tmp_path / "figure1-benign-f1.trace.jsonl"
-    victim.write_text(victim.read_text() + " ")
+    pinned = victim.read_text()
+    victim.write_text(pinned + " ")
     results = dict(
         (name, ok) for name, ok, _ in verify_goldens(str(tmp_path))
     )
     assert results["figure1-benign-f1"] is False
-    victim.unlink()
-    statuses = {name: detail for name, _ok, detail in verify_goldens(str(tmp_path))}
-    assert statuses["figure1-benign-f1"] == "trace file missing"
+    # A first line that holds no scenario, or another one, fails and names the file.
+    head, body = pinned.split("\n", 1)
+    assert '"n": 3' in head and '"name": "figure1-benign-f1"' in head
+    for bad in (
+        "",
+        "not json",
+        "[]",
+        '{"meta": {}}',
+        head.replace('"n": 3', '"n": 4'),
+        head.replace('"name": "figure1-benign-f1"', '"name": "figure1-benign-f2"'),
+    ):
+        victim.write_text(bad + "\n" + body)
+        details = {name: (ok, detail) for name, ok, detail in verify_goldens(str(tmp_path))}
+        ok, detail = details["figure1-benign-f1"]
+        assert not ok and detail.startswith("figure1-benign-f1.trace.jsonl: "), (bad, detail)
+        assert sum(not ok for ok, _ in details.values()) == 1
 
 
 def test_a_drifted_golden_names_its_first_differing_line(tmp_path):
@@ -408,19 +425,36 @@ def test_cli_scenario_then_clean_run(tmp_path):
     assert "fast_path" in summary
 
 
+def _violation_kinds(stdout: str) -> list[str]:
+    prefix = "VIOLATION "
+    return [line[len(prefix):].split(":")[0] for line in stdout.splitlines()
+            if line.startswith(prefix)]
+
+
+def _body(path: Path) -> str:
+    """A serialized trace after its first line, the scenario that ran."""
+    return path.read_text().split("\n", 1)[1]
+
+
 def test_cli_violation_run_writes_a_replayable_witness(tmp_path):
     assert _cli("scenario", "--name", "sigma", "--f", "1", cwd=tmp_path).returncode == 0
     spath = tmp_path / "sigma3-f1.scenario.json"
-    first = _cli("run", "--scenario", str(spath), cwd=tmp_path)
+    first = _cli("run", "--scenario", str(spath), "--trace", "first.jsonl", cwd=tmp_path)
     assert first.returncode == 2
     assert "VIOLATION classical-validity" in first.stdout
     witness = tmp_path / "witness-sigma3-f1.json"
     assert witness.exists()
+    # The witness is the scenario with the run's schedule recorded as its script.
+    sc = load_scenario(str(witness))
+    assert sc.schedule == Scripted(tuple(run(load_scenario(str(spath))).script))
     replay = _cli(
-        "run", "--scenario", str(spath), "--script", str(witness), cwd=tmp_path
+        "run", "--scenario", "witness-sigma3-f1.json", "--trace", "replay.jsonl",
+        "--witness-out", "again.json", cwd=tmp_path
     )
     assert replay.returncode == 2
-    assert "VIOLATION classical-validity" in replay.stdout
+    assert _violation_kinds(replay.stdout) == _violation_kinds(first.stdout)
+    assert _body(tmp_path / "replay.jsonl") == _body(tmp_path / "first.jsonl")
+    assert (tmp_path / "again.json").read_text() == witness.read_text()
 
 
 def test_cli_explore_exit_codes(tmp_path):
@@ -435,6 +469,13 @@ def test_cli_explore_exit_codes(tmp_path):
     )
     assert dirty.returncode == 2
     assert (tmp_path / "w.json").exists()
+    # The explorer's witness is a scenario file too, and replays its violation.
+    replay = _cli("run", "--scenario", "w.json", cwd=tmp_path)
+    assert replay.returncode == 2
+    found = {line.split(":")[0].strip() for line in dirty.stdout.splitlines()[1:]
+             if line.startswith("  ")}
+    kinds = set(_violation_kinds(replay.stdout))
+    assert kinds and kinds <= found, (kinds, found)
     assert _cli("scenario", "--name", "figure1", "--f", "1", cwd=tmp_path).returncode == 0
     clean = _cli(
         "explore",
@@ -509,6 +550,13 @@ def test_cli_campaign(tmp_path):
 def test_cli_verify_goldens(tmp_path):
     ok = _cli("verify-goldens", "--dir", str(REPO_GOLDENS), cwd=tmp_path)
     assert ok.returncode == 0, ok.stderr
+    shutil.copytree(REPO_GOLDENS, tmp_path / "edited")
+    victim = tmp_path / "edited" / "sigma1-f1.trace.jsonl"
+    victim.write_text("{}\n" + victim.read_text().split("\n", 1)[1])
+    edited = _cli("verify-goldens", "--dir", "edited", cwd=tmp_path)
+    assert edited.returncode == 2
+    _assert_cli_started(edited)
+    assert "FAIL sigma1-f1: sigma1-f1.trace.jsonl: " in edited.stdout, edited.stdout
     missing = _cli("verify-goldens", "--dir", str(tmp_path / "nope"), cwd=tmp_path)
     assert missing.returncode == 1
     _assert_cli_started(missing)
@@ -573,29 +621,36 @@ def test_cli_counts_below_one_exit_one(tmp_path, argv):
     assert "no violations" not in bad.stdout
 
 
-@pytest.mark.parametrize("doc", [{}, [], {"steps": {"0": ["timer", 0]}}])
-def test_cli_rejects_a_witness_without_a_list_of_steps(tmp_path, doc):
-    (tmp_path / "golden.json").write_text(serialize_scenario(golden_set()[0].scenario))
-    (tmp_path / "witness.json").write_text(json.dumps(doc))
-    bad = _cli("run", "--scenario", "golden.json", "--script", "witness.json", cwd=tmp_path)
-    assert bad.returncode == 1
-    _assert_cli_started(bad)
-    assert bad.stderr.startswith("error: witness.json: a witness is an object"), bad.stderr
+def _witness(schedule: dict) -> str:
+    """A golden scenario file with the given schedule document."""
+    return json.dumps({**scenario_to_obj(golden_set()[0].scenario), "schedule": schedule})
 
 
 @pytest.mark.parametrize(
-    "flags",
-    [("--seed", "5", "--script", "witness.json"), ("--script", "witness.json", "--seed", "5")],
+    "doc",
+    [
+        {"mode": "scripted", "steps": {"0": ["timer", 0]}},
+        {"mode": "scripted", "steps": "timer 0"},
+        {"mode": "scripted", "steps": 7},
+    ],
 )
-def test_cli_refuses_a_seed_together_with_a_script(tmp_path, flags):
-    (tmp_path / "golden.json").write_text(serialize_scenario(golden_set()[0].scenario))
-    (tmp_path / "witness.json").write_text(json.dumps({"steps": []}))
-    bad = _cli("run", "--scenario", "golden.json", *flags, cwd=tmp_path)
+def test_cli_rejects_a_witness_without_a_list_of_steps(tmp_path, doc):
+    (tmp_path / "witness.json").write_text(_witness(doc))
+    bad = _cli("run", "--scenario", "witness.json", cwd=tmp_path)
     assert bad.returncode == 1
     _assert_cli_started(bad)
-    errors = [line for line in bad.stderr.splitlines() if "error:" in line]
-    assert len(errors) == 1 and "--seed" in errors[0] and "--script" in errors[0], bad.stderr
+    assert bad.stderr.startswith("error: malformed "), bad.stderr
     assert "invariants" not in bad.stdout
+
+
+def test_cli_seed_reruns_a_witness_under_a_seeded_schedule(tmp_path):
+    # --seed replaces any schedule the file holds, a witness's script included.
+    (tmp_path / "witness.json").write_text(_witness({"mode": "scripted", "steps": []}))
+    ran = _cli("run", "--scenario", "witness.json", "--seed", "5", "--trace", "t.jsonl",
+               cwd=tmp_path)
+    assert ran.returncode == 0, ran.stderr
+    head = json.loads((tmp_path / "t.jsonl").read_text().split("\n", 1)[0])
+    assert head["scenario"]["schedule"] == {"mode": "seeded", "seed": 5}
 
 
 @pytest.mark.parametrize("name,f", [("figure1", "-1"), ("figure1", "0"), ("figure2", "0")])
@@ -609,11 +664,10 @@ def test_cli_scenario_refuses_f_below_one(tmp_path, name, f):
 
 
 def test_cli_rejects_a_malformed_witness_script(tmp_path):
-    (tmp_path / "golden.json").write_text(serialize_scenario(golden_set()[0].scenario))
-    (tmp_path / "witness.json").write_text(
-        json.dumps({"steps": [["deliver", 0, 1, "proposal", -1]]})
-    )
-    bad = _cli("run", "--scenario", "golden.json", "--script", "witness.json", cwd=tmp_path)
+    (tmp_path / "witness.json").write_text(_witness(
+        {"mode": "scripted", "steps": [["deliver", 0, 1, "proposal", -1]]}
+    ))
+    bad = _cli("run", "--scenario", "witness.json", cwd=tmp_path)
     assert bad.returncode == 1
     _assert_cli_started(bad)
     assert bad.stderr.startswith("error: malformed script step 0"), bad.stderr

@@ -381,7 +381,10 @@ def _generated() -> list[Scenario]:
 
 
 def _corpus() -> list[dict]:
-    docs = [json.loads(p.read_text()) for p in sorted(GOLDENS.glob("*.scenario.json"))]
+    # A golden trace's first line is {"scenario": the document that ran}.
+    heads = [p.read_text().split("\n", 1)[0] for p in sorted(GOLDENS.glob("*.trace.jsonl"))]
+    docs = [json.loads(head)["scenario"] for head in heads]
+    assert len(docs) == 11
     return docs + [_reference_scenario_to_obj(validate_scenario(sc)) for sc in _generated()]
 
 

@@ -33,8 +33,10 @@ from biased_consensus import (
     Variant,
     run,
 )
+from biased_consensus.harness import scenario_from_obj, scenario_to_obj
 
 DIGESTS = Path(__file__).resolve().with_name("seeded_traces.json")
+GOLDENS = Path(__file__).resolve().parent.parent / "goldens"
 
 V = b"v"
 U = b"u"
@@ -165,6 +167,25 @@ def test_an_untraced_run_keeps_everything_but_the_events(name):
         assert untraced.events == [] and traced.events, _label(key)
         for part in ("script", "decisions", "counters", "violations", "final_phases"):
             assert getattr(untraced, part) == getattr(traced, part), (_label(key), part)
+
+
+def _header_round_trip(text: str) -> Scenario:
+    """The scenario a trace's first line holds, read back; the line must be
+    exactly what the codec writes for it."""
+    head = text.split("\n", 1)[0]
+    sc = scenario_from_obj(json.loads(head)["scenario"])
+    assert json.dumps({"scenario": scenario_to_obj(sc)}, sort_keys=True) == head
+    return sc
+
+
+def test_every_trace_header_reads_back_to_the_scenario_that_ran():
+    goldens = sorted(GOLDENS.glob("*.trace.jsonl"))
+    assert len(goldens) == 11
+    for path in goldens:
+        assert _header_round_trip(path.read_text()).name == path.name.split(".")[0]
+    for key in all_keys()[::10]:
+        sc = build(*key)
+        assert _header_round_trip(run(sc).serialize()) == sc, _label(key)
 
 
 def test_the_pinned_runs_cover_every_fault_kind_and_base():
